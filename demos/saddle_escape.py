@@ -25,5 +25,6 @@ for label, noise in [("isotropic noise", SymMatrix(np.eye(2))),
     print(f"  verdict            {report.verdict}")
     print(f"  escaped replicas   {report.escape_fraction:.0%}")
     print(f"  measured log slope {report.median_slope}")
-    print(f"  predicted slope    ~ lr * |lambda_neg| = {LR * 1.0}")
+    print(f"  predicted slope    log(1 + lr * |lambda_neg|) = {report.expected_slope}")
+    print(f"  small-lr limit     lr * |lambda_neg| = {report.expected_slope_small_lr}")
     print()

@@ -5,10 +5,16 @@ generator is created per call, so identical calls reproduce trajectories
 bitwise.  Discrete runs abort with :class:`DivergenceError` (carrying the
 partial trajectory) once the iterate norm passes 1e12 or a recorded loss
 stops being finite.
+
+The discrete SGD runs (``sgd_run``, ``gaussian_sgd_run``,
+``sgd_replica_ensemble`` and the experiments' replica runs) share one
+stepping core, ``_advance_rows``, which advances a ``(rows, p)`` state array
+with one learning rate, batch size and generator per row.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,6 +66,16 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
 
 
+def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
+    lrs = np.asarray(learning_rates, dtype=float)
+    if not (np.isfinite(lrs) & (lrs > 0)).all():
+        raise EngineError("learning_rate must be positive and finite")
+    if (np.asarray(batch_sizes) < 1).any():
+        raise EngineError("batch_size must be at least 1")
+    if steps < 1:
+        raise EngineError("steps must be at least 1")
+
+
 @dataclass(frozen=True)
 class SgdConfig:
     """Step size, batch size, horizon, seed, and sampling mode."""
@@ -71,12 +87,7 @@ class SgdConfig:
     sampling: str = "with_replacement"
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise EngineError("learning_rate must be positive and finite")
-        if self.batch_size < 1:
-            raise EngineError("batch_size must be at least 1")
-        if self.steps < 1:
-            raise EngineError("steps must be at least 1")
+        _check_rows(self.learning_rate, self.batch_size, self.steps)
         if self.sampling not in SAMPLING_MODES:
             raise EngineError(
                 f"sampling must be one of {SAMPLING_MODES}, got {self.sampling!r}"
@@ -111,62 +122,291 @@ class Trajectory:
             raise EngineError("snapshot count must match record count")
 
 
-class _Recorder:
-    def __init__(self, total_steps: int, stride: int, param_dim: int, snapshots: bool):
+class _Records:
+    """Strided records of one or more rows in one preallocated buffer.
+
+    Every row records on the same step grid (each ``stride``-th step and the
+    last one); ``counts[r]`` is how many of those records row ``r`` reached.
+    Columns are ``(records, rows)``, snapshots ``(records, rows, p)``.
+    """
+
+    def __init__(self, rows: int, total_steps: int, stride: int, param_dim: int, snapshots: bool):
         if stride < 1:
             raise EngineError("record_stride must be at least 1")
-        n_rec = total_steps // stride + 1
-        if total_steps % stride:
-            n_rec += 1
+        grid = np.arange(0, total_steps + 1, stride, dtype=np.int64)
+        if grid[-1] != total_steps:
+            grid = np.append(grid, np.int64(total_steps))
+        n_rec = len(grid)
         self.stride = stride
-        self.steps = np.empty(n_rec, dtype=np.int64)
-        self.losses = np.empty(n_rec)
-        self.grad_norms_sq = np.empty(n_rec)
+        self.steps = grid
+        self.losses = np.empty((n_rec, rows))
+        self.grad_norms_sq = np.empty((n_rec, rows))
         self.thetas: np.ndarray | None = None
         if snapshots:
             if param_dim * n_rec > SNAPSHOT_BUDGET:
                 warnings.warn(
                     f"snapshot request of {param_dim * n_rec} entries exceeds the "
                     f"budget {SNAPSHOT_BUDGET}; keeping summary records only",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
             else:
-                self.thetas = np.empty((n_rec, param_dim))
-        self.count = 0
+                self.thetas = np.empty((n_rec, rows, param_dim))
+        self.counts = np.zeros(rows, dtype=np.int64)
 
-    def add(self, step: int, loss: float, grad_norm_sq: float, theta: np.ndarray) -> None:
-        i = self.count
-        self.steps[i] = step
-        self.losses[i] = loss
-        self.grad_norms_sq[i] = grad_norm_sq
+    def add(self, row: int, loss: float, grad_norm_sq: float, theta: np.ndarray) -> None:
+        i = self.counts[row]
+        self.losses[i, row] = loss
+        self.grad_norms_sq[i, row] = grad_norm_sq
         if self.thetas is not None:
-            self.thetas[i] = theta
-        self.count = i + 1
+            self.thetas[i, row] = theta
+        self.counts[row] = i + 1
 
-    def build(self, time_step: float) -> Trajectory:
-        sl = slice(0, self.count)
+    def trajectory(self, row: int, time_step: float) -> Trajectory:
+        """Row ``row``'s records so far, as views into the buffer."""
+        k = self.counts[row]
+        steps = self.steps[:k]
         return Trajectory(
             record_stride=self.stride,
-            steps=self.steps[sl].copy(),
-            times=self.steps[sl] * time_step,
-            losses=self.losses[sl].copy(),
-            grad_norms_sq=self.grad_norms_sq[sl].copy(),
-            thetas=None if self.thetas is None else self.thetas[sl].copy(),
+            steps=steps,
+            times=steps * time_step,
+            losses=self.losses[:k, row],
+            grad_norms_sq=self.grad_norms_sq[:k, row],
+            thetas=None if self.thetas is None else self.thetas[:k, row],
         )
 
 
-def _record_state(rec: _Recorder, model: LossModel, step: int, theta: np.ndarray, time_step: float):
+def _record_state(rec: _Records, row: int, model: LossModel, step: int, theta: np.ndarray, time_step: float):
     loss = model.loss(theta)
     if not np.isfinite(loss):
-        raise DivergenceError(step, rec.build(time_step), "loss is not finite")
+        raise DivergenceError(step, rec.trajectory(row, time_step), "loss is not finite")
     grad = model.full_grad(theta)
-    rec.add(step, loss, float(grad @ grad), theta)
+    rec.add(row, loss, float(grad @ grad), theta)
 
 
 def _check_batch(model: LossModel, batch_size: int) -> None:
     n = model.example_count
     if n is not None and batch_size > n:
         raise EngineError(f"batch_size {batch_size} exceeds the {n} available examples")
+
+
+# ---------------------------------------------------------------------------
+# The stepping core behind sgd_run, gaussian_sgd_run, sgd_replica_ensemble
+# and the experiments' replica runs.
+
+# Lockstep rows draw and transform their noise this many steps at a time.
+NOISE_BLOCK = 512
+# Noise entries drawn and transformed at once; bounds the scratch memory.
+_TILE_ENTRIES = 1 << 16
+
+
+def _rowwise_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` accumulated in index order by elementwise operations.
+
+    BLAS kernels change with the number of rows, and with them the last bits
+    of every row; here each row of the result depends on its own row of
+    ``x`` alone.  Both loop orders below make the same operations in the
+    same order; they differ only in which axis numpy's inner loop runs along.
+    """
+    p, q = a.shape
+    rows = x.shape[-2] if x.ndim > 1 else 1
+    if rows <= p:
+        out = x[..., :1] * a[0]
+        for k in range(1, p):
+            out += x[..., k : k + 1] * a[k]
+        return out
+    out = np.empty(x.shape[:-1] + (q,))
+    for j in range(q):
+        column = x[..., 0] * a[0, j]
+        for k in range(1, p):
+            column += x[..., k] * a[k, j]
+        out[..., j] = column
+    return out
+
+
+@dataclass
+class _Rows:
+    """Outcome of one core call.
+
+    ``failures`` maps each row the guard stopped to its divergence, which
+    carries the step it stopped at and the row's partial trajectory; the
+    other rows ran to the horizon.
+    """
+
+    records: _Records
+    learning_rates: np.ndarray
+    failures: dict[int, DivergenceError]
+    finals: np.ndarray
+
+    def trajectory(self, row: int) -> Trajectory:
+        return self.records.trajectory(row, self.learning_rates[row])
+
+    def raise_first_divergence(self) -> None:
+        """Raise the divergence of the row that tripped first, if any did."""
+        if self.failures:
+            raise min(self.failures.values(), key=lambda err: err.step)
+
+
+def _advance_rows(
+    model: LossModel,
+    theta0: np.ndarray,
+    learning_rates,
+    batch_sizes,
+    seeds,
+    steps: int,
+    *,
+    record_stride: int = 1,
+    snapshots: bool = False,
+    sampling: str = "with_replacement",
+    root: np.ndarray | None = None,
+    block: int = NOISE_BLOCK,
+) -> _Rows:
+    """Advance one SGD row per (learning rate, batch size, seed) from ``theta0``.
+
+    Each row owns a generator made from its seed (anything
+    ``numpy.random.default_rng`` accepts), records every ``record_stride``
+    steps into a shared buffer and stops on its own when ||theta||^2
+    exceeds 1e24 or is NaN; the other rows go on.  A row's result does not
+    depend on which other rows share the call.
+
+    Quadratic models advance all rows together (see ``_lockstep``).  Other
+    models loop over rows with the model's own gradients: a minibatch of
+    ``batch_size`` indices per step drawn per ``sampling``, or, when
+    ``root`` is given, the full gradient plus the Gaussian surrogate
+    ``(lr / sqrt(m)) root @ xi``.
+    """
+    lrs = np.array(learning_rates, dtype=float)
+    ms = np.array(batch_sizes, dtype=np.int64)
+    _check_rows(lrs, ms, steps)
+    rows, p = lrs.size, model.param_dim
+    rec = _Records(rows, steps, record_stride, p, snapshots)
+    out = _Rows(rec, lrs, {}, np.empty((rows, p)))
+    if isinstance(model, QuadraticModel):
+        _lockstep(model, theta0, ms, seeds, steps, block, out)
+        return out
+    for r in range(rows):
+        try:
+            out.finals[r] = _loop_row(
+                model, rec, r, theta0, SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling), root
+            )
+        except DivergenceError as err:
+            out.failures[r] = err
+    return out
+
+
+def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg: SgdConfig, root):
+    rng = np.random.default_rng(cfg.seed)
+    lr, m, steps = cfg.learning_rate, cfg.batch_size, cfg.steps
+    n = model.example_count
+    stride = rec.stride
+    scale = lr / np.sqrt(m)
+    p = theta.size
+    _record_state(rec, row, model, 0, theta, lr)
+    for k in range(1, steps + 1):
+        if root is not None:
+            grad = model.full_grad(theta)
+            theta = theta - lr * grad + scale * (root @ rng.standard_normal(p))
+        else:
+            if cfg.sampling == "with_replacement":
+                idx = rng.integers(0, n, size=m)
+            else:
+                idx = rng.choice(n, size=m, replace=False)
+            grad = model.batch_grad(theta, idx)
+            theta = theta - lr * grad
+        sq = theta @ theta
+        if sq != sq or sq > DIVERGENCE_NORM_SQ:
+            raise DivergenceError(k, rec.trajectory(row, lr), "iterate norm guard tripped")
+        if k % stride == 0 or k == steps:
+            _record_state(rec, row, model, k, theta, lr)
+    return theta
+
+
+def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, steps: int, block: int, out: _Rows) -> None:
+    """All rows of a synthesized-noise quadratic, advanced together.
+
+    The minibatch gradient H (theta - theta*) + mean of m per-example noise
+    draws takes one N(0, C/m) draw per step, xi R^T / sqrt(m) with R =
+    ``model.noise_sqrt`` (the same law).  In H's eigenbasis, z =
+    (theta - theta*) V, the step is
+    z <- (1 - lr lam) z - (lr / sqrt(m)) xi R^T V: elementwise, once the
+    noise of a whole block of steps has been transformed.  Each row draws
+    its xi from its own generator a block at a time, and every operation
+    acts on rows separately, so a row's result is independent of the other
+    rows and of the block size.
+    """
+    rec = out.records
+    lrs = out.learning_rates
+    eig = model.hessian_eig
+    lam, vec = eig.eigenvalues, eig.eigenvectors
+    center = model.minimizer
+    rows, p = lrs.size, lam.size
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), vec)
+    decay = 1.0 - lrs[:, None] * lam
+    noise_map = model.noise_sqrt.T @ vec
+    noise_scale = (lrs / np.sqrt(batch_sizes))[:, None, None]
+    back = vec.T
+    # max|z| at or below this keeps every ||theta|| within the guard.
+    z_limit = (math.sqrt(DIVERGENCE_NORM_SQ) - float(np.linalg.norm(center))) / math.sqrt(p)
+    scratch = np.empty_like(z)
+    live = np.ones(rows, dtype=bool)
+    recorded = 0
+    next_record = 0
+
+    def states() -> np.ndarray:
+        return _rowwise_matmul(z, back) + center
+
+    def record() -> None:
+        # The guard has passed, so ||theta|| <= 1e12 and the loss is finite.
+        nonlocal recorded, next_record
+        weighted = z * lam
+        rec.losses[recorded] = 0.5 * (z * weighted).sum(axis=1)
+        rec.grad_norms_sq[recorded] = (weighted * weighted).sum(axis=1)
+        if rec.thetas is not None:
+            rec.thetas[recorded] = states()
+        recorded += 1
+        next_record = min(recorded * rec.stride, steps)
+
+    def guard(step: int) -> None:
+        sq = (states() ** 2).sum(axis=1)
+        tripped = live & ~(sq <= DIVERGENCE_NORM_SQ)
+        for r in np.flatnonzero(tripped):
+            rec.counts[r] = recorded
+            out.failures[r] = DivergenceError(
+                step, rec.trajectory(r, lrs[r]), "iterate norm guard tripped"
+            )
+        live[tripped] = False
+        z[tripped] = 0.0
+        decay[tripped] = 0.0
+
+    record()
+    # One block of noise, reused: drawn and transformed a tile of rows at a
+    # time, then stored step-major so that each step reads one contiguous
+    # (rows, p) slice.
+    buffer = np.empty((min(block, steps), rows, p))
+    done = 0
+    while done < steps and live.any():
+        b = min(block, steps - done)
+        noise = buffer[:b]
+        tile_rows = max(1, _TILE_ENTRIES // (b * p))
+        for s in range(0, rows, tile_rows):
+            tile = np.zeros((min(tile_rows, rows - s), b, p))
+            for i, r in enumerate(range(s, s + len(tile))):
+                if live[r]:
+                    gens[r].standard_normal((b, p), out=tile[i])
+            tile = _rowwise_matmul(tile, noise_map)
+            tile *= noise_scale[s : s + len(tile)]
+            noise[:, s : s + len(tile)] = tile.swapaxes(0, 1)
+        for j in range(b):
+            z *= decay
+            z -= noise[j]
+            step = done + j + 1
+            if not np.abs(z, out=scratch).max() <= z_limit:
+                guard(step)
+            if step == next_record:
+                record()
+        done += b
+    rec.counts[live] = recorded
+    out.finals[:] = states()
 
 
 def sgd_run(
@@ -180,42 +420,19 @@ def sgd_run(
     """Plain minibatch SGD: theta <- theta - lr * (mean batch gradient).
 
     Finite-data models draw index batches per ``cfg.sampling`` from the
-    seeded stream; synthesized-noise models draw ``batch_size`` fresh
-    per-example gradients instead.
+    seeded stream.  Synthesized-noise quadratics draw the minibatch noise
+    as one N(0, C/m) variate per step, the law of the mean of
+    ``batch_size`` per-example draws, and run on the lockstep core as a
+    single row.
     """
     theta = as_param_vector(theta0, model.param_dim)
     _check_batch(model, cfg.batch_size)
-    rng = np.random.default_rng(cfg.seed)
-    delta = cfg.learning_rate
-    m = cfg.batch_size
-    n = model.example_count
-    with_replacement = cfg.sampling == "with_replacement"
-    rec = _Recorder(cfg.steps, record_stride, theta.size, snapshots)
-    _record_state(rec, model, 0, theta, delta)
-    for k in range(1, cfg.steps + 1):
-        if n is None:
-            grad = model.synthesized_minibatch_grad(theta, m, rng)
-        else:
-            if with_replacement:
-                idx = rng.integers(0, n, size=m)
-            else:
-                idx = rng.choice(n, size=m, replace=False)
-            grad = model.batch_grad(theta, idx)
-        theta = theta - delta * grad
-        sq = theta @ theta
-        if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.build(delta), "iterate norm guard tripped")
-        if k % record_stride == 0 or k == cfg.steps:
-            _record_state(rec, model, k, theta, delta)
-    return rec.build(delta)
-
-
-def _noise_root(model: LossModel, reference: np.ndarray, cov_sample_count: int) -> np.ndarray:
-    exact = model.exact_gradient_covariance()
-    if exact is not None:
-        return sqrt_spd(exact)
-    cov = gradient_covariance(model, reference, cov_sample_count)
-    return sqrt_spd(cov)
+    run = _advance_rows(
+        model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
+        record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling,
+    )
+    run.raise_first_divergence()
+    return run.trajectory(0)
 
 
 def gaussian_sgd_run(
@@ -231,28 +448,24 @@ def gaussian_sgd_run(
     """SGD with the minibatch noise replaced by its Gaussian surrogate.
 
     Updates theta <- theta - lr * grad + (lr / sqrt(m)) * R xi with
-    R R^T equal to the per-example gradient covariance.  The covariance is
-    the model's exact one when available, otherwise it is estimated once at
-    ``ref_point`` (default: the start point) and frozen for the run.
+    R R^T equal to the per-example gradient covariance.  For a quadratic
+    the covariance is the model's exact one and its root ``noise_sqrt``;
+    the surrogate is then exactly the law ``sgd_run`` draws, and both run
+    on the same lockstep core (same seed, same trajectory).  Otherwise the
+    covariance is estimated once at ``ref_point`` (default: the start point)
+    and frozen for the run.
     """
     theta = as_param_vector(theta0, model.param_dim)
-    reference = theta if ref_point is None else as_param_vector(ref_point, model.param_dim)
-    root = _noise_root(model, reference, cov_sample_count)
-    rng = np.random.default_rng(cfg.seed)
-    delta = cfg.learning_rate
-    scale = delta / np.sqrt(cfg.batch_size)
-    p = theta.size
-    rec = _Recorder(cfg.steps, record_stride, p, snapshots)
-    _record_state(rec, model, 0, theta, delta)
-    for k in range(1, cfg.steps + 1):
-        grad = model.full_grad(theta)
-        theta = theta - delta * grad + scale * (root @ rng.standard_normal(p))
-        sq = theta @ theta
-        if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.build(delta), "iterate norm guard tripped")
-        if k % record_stride == 0 or k == cfg.steps:
-            _record_state(rec, model, k, theta, delta)
-    return rec.build(delta)
+    root = None
+    if not isinstance(model, QuadraticModel):
+        reference = theta if ref_point is None else as_param_vector(ref_point, model.param_dim)
+        root = sqrt_spd(gradient_covariance(model, reference, cov_sample_count))
+    run = _advance_rows(
+        model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
+        record_stride=record_stride, snapshots=snapshots, root=root,
+    )
+    run.raise_first_divergence()
+    return run.trajectory(0)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -281,8 +494,8 @@ def sde_run(
         dX = -grad f(X) dt + sqrt(lr / m) * sigma(X) dW,
 
     with sigma(X) the PSD square root of the per-example gradient
-    covariance.  A constant exact covariance is factored once; finite-data
-    models refresh sigma(X) at every step.  Requires dt <= learning_rate
+    covariance.  A quadratic's constant covariance uses the model's root
+    ``noise_sqrt``; finite-data models refresh sigma(X) at every step.  Requires dt <= learning_rate
     (the diffusion has no business resolving scales finer than one SGD
     step).
     """
@@ -296,14 +509,13 @@ def sde_run(
     steps = _step_count(t_end, dt)
     if steps < 1:
         raise EngineError("t_end must cover at least one dt step")
-    exact = model.exact_gradient_covariance()
-    frozen_root = sqrt_spd(exact) if exact is not None else None
+    frozen_root = model.noise_sqrt if isinstance(model, QuadraticModel) else None
     rng = np.random.default_rng(seed)
     amp = np.sqrt(learning_rate / batch_size)
     sqrt_dt = np.sqrt(dt)
     p = theta.size
-    rec = _Recorder(steps, record_stride, p, snapshots)
-    _record_state(rec, model, 0, theta, dt)
+    rec = _Records(1, steps, record_stride, p, snapshots)
+    _record_state(rec, 0, model, 0, theta, dt)
     for k in range(1, steps + 1):
         if frozen_root is None:
             root = sqrt_spd(gradient_covariance(model, theta, cov_sample_count))
@@ -313,10 +525,10 @@ def sde_run(
         theta = theta - grad * dt + (amp * sqrt_dt) * (root @ rng.standard_normal(p))
         sq = theta @ theta
         if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.build(dt), "iterate norm guard tripped")
+            raise DivergenceError(k, rec.trajectory(0, dt), "iterate norm guard tripped")
         if k % record_stride == 0 or k == steps:
-            _record_state(rec, model, k, theta, dt)
-    return rec.build(dt)
+            _record_state(rec, 0, model, k, theta, dt)
+    return rec.trajectory(0, dt)
 
 
 def gradient_flow(
@@ -337,8 +549,8 @@ def gradient_flow(
     steps = _step_count(t_end, dt)
     if steps < 1:
         raise EngineError("t_end must cover at least one dt step")
-    rec = _Recorder(steps, record_stride, theta.size, snapshots)
-    _record_state(rec, model, 0, theta, dt)
+    rec = _Records(1, steps, record_stride, theta.size, snapshots)
+    _record_state(rec, 0, model, 0, theta, dt)
     half = 0.5 * dt
     for k in range(1, steps + 1):
         k1 = -model.full_grad(theta)
@@ -347,8 +559,8 @@ def gradient_flow(
         k4 = -model.full_grad(theta + dt * k3)
         theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % record_stride == 0 or k == steps:
-            _record_state(rec, model, k, theta, dt)
-    return rec.build(dt)
+            _record_state(rec, 0, model, k, theta, dt)
+    return rec.trajectory(0, dt)
 
 
 @dataclass(frozen=True)
@@ -423,18 +635,18 @@ def ou_eigenbasis_run(
     rng = np.random.default_rng(seed)
     decay = np.exp(-lam * dt)
     std = np.sqrt((learning_rate / (2.0 * batch_size)) * (1.0 - decay * decay))
-    rec = _Recorder(steps, record_stride, lam.size, snapshots)
+    rec = _Records(1, steps, record_stride, lam.size, snapshots)
 
     def add(step: int, state: np.ndarray) -> None:
         weighted = lam * state
-        rec.add(step, 0.5 * float(state @ weighted), float(weighted @ weighted), state)
+        rec.add(0, 0.5 * float(state @ weighted), float(weighted @ weighted), state)
 
     add(0, z)
     for k in range(1, steps + 1):
         z = decay * z + std * rng.standard_normal(lam.size)
         if k % record_stride == 0 or k == steps:
             add(k, z)
-    return rec.build(dt)
+    return rec.trajectory(0, dt)
 
 
 def _hermite_interpolate(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -546,47 +758,31 @@ def sgd_replica_ensemble(
     replicas: int,
     master_seed: int,
     *,
-    block: int = 512,
+    block: int = NOISE_BLOCK,
 ) -> np.ndarray:
     """Final states of `replicas` independent SGD runs, advanced in lockstep.
 
     Only synthesized-noise quadratic dynamics support this vectorized form.
     Each replica owns a child stream spawned from the master seed and draws
-    its noise in step order, so the ensemble is reproducible and independent
-    of any execution partitioning.  The per-step minibatch noise is a single
-    N(0, C/m) variate, exactly the law of a mean of ``batch_size``
-    per-example draws.
+    its noise in step order, ``block`` steps at a time, so the ensemble is
+    reproducible and independent of the block size.  The per-step
+    minibatch noise is a single N(0, C/m) variate, exactly the law of a
+    mean of ``batch_size`` per-example draws.
     """
     if not isinstance(model, QuadraticModel) or not model.synthesizes_noise:
         raise EngineError("lockstep ensembles need a synthesized-noise quadratic model")
     if replicas < 1 or steps < 1:
         raise EngineError("replicas and steps must be positive")
     theta_start = as_param_vector(theta0, model.param_dim)
-    h = model.hessian.entries
-    center = model.minimizer
-    root_t = model.noise_sqrt.T / np.sqrt(batch_size)
-    states = np.tile(theta_start, (replicas, 1))
-    generators = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(master_seed).spawn(replicas)
-    ]
-    p = model.param_dim
-    done = 0
-    while done < steps:
-        b = min(block, steps - done)
-        noise = np.empty((replicas, b, p))
-        for r, gen in enumerate(generators):
-            noise[r] = gen.standard_normal((b, p))
-        for j in range(b):
-            grads = (states - center) @ h + noise[:, j, :] @ root_t
-            states = states - learning_rate * grads
-        done += b
-        peak = np.abs(states).max()
-        if not np.isfinite(peak) or peak > 1e12:
-            raise EngineError(
-                f"replica ensemble diverged within {done} steps (max |theta|={peak:.3e})"
-            )
-    return states
+    run = _advance_rows(
+        model, theta_start, np.full(replicas, learning_rate), np.full(replicas, batch_size),
+        np.random.SeedSequence(master_seed).spawn(replicas), steps,
+        record_stride=steps, block=block,
+    )
+    if run.failures:
+        row, err = min(run.failures.items(), key=lambda item: item[1].step)
+        raise EngineError(f"replica ensemble diverged: replica {row}, {err}")
+    return run.finals
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

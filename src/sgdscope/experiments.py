@@ -16,18 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    DivergenceError,
     SgdConfig,
     Trajectory,
-    gaussian_sgd_run,
+    _advance_rows,
     gradient_flow,
     integrate_fluctuation_covariance,
     sgd_replica_ensemble,
     sgd_run,
 )
 from .estimators import prediction_report, stationary_stats
-from .linalg import SymMatrix, sym_eigendecompose, trace
-from .problems import DENSE_GUARD, LossModel, QuadraticModel, gradient_covariance, hessian_dense
+from .linalg import SymMatrix, trace
+from .problems import (
+    DENSE_GUARD,
+    LossModel,
+    QuadraticModel,
+    as_param_vector,
+    gradient_covariance,
+    hessian_dense,
+)
 
 __all__ = [
     "ExperimentError",
@@ -137,12 +143,15 @@ def _locate_minimum(model: LossModel, theta_start, flow_t: float, flow_dt: float
     return theta, bool(grad @ grad < MINIMUM_GRAD_NORM**2)
 
 
+def _stationary_means(traj: Trajectory, burn_in: float):
+    stats = stationary_stats(traj, burn_in)
+    return stats.mean_loss, stats.mean_grad_norm_sq
+
+
 def _scan_replica_task(payload):
     model, theta_star, lr, m, run_length, stride, seed, burn_in = payload
     cfg = SgdConfig(lr, m, run_length, seed)
-    traj = sgd_run(model, theta_star, cfg, record_stride=stride)
-    stats = stationary_stats(traj, burn_in)
-    return stats.mean_loss, stats.mean_grad_norm_sq
+    return _stationary_means(sgd_run(model, theta_star, cfg, record_stride=stride), burn_in)
 
 
 def _traces_at(model: LossModel, theta: np.ndarray):
@@ -180,6 +189,13 @@ def scan_bs_lr(
     the located minimum; trace quantities are evaluated once at that point
     and turned into per-grid-point predictions.  Rows come back in grid
     order and are bit-reproducible for a fixed master seed.
+
+    On a synthesized-noise quadratic every (grid point, replica) run is one
+    row of a single lockstep call, drawing one N(0, C/m) noise variate per
+    step (the law of a mean of m per-example draws); a grid point's row does
+    not depend on the other grid points.  ``workers`` only fans out the runs
+    of finite-data models.  A diverging run raises :class:`DivergenceError`
+    with that run's partial trajectory.
     """
     grid = [(float(lr), int(m)) for lr, m in grid]
     if not grid:
@@ -193,12 +209,20 @@ def scan_bs_lr(
     else:
         tr_h = tr_sigma2 = tr_mixed = float("nan")
     stride = record_stride or max(1, run_length // 10_000)
-    payloads = [
-        (model, theta_star, lr, m, run_length, stride, derive_seed(master_seed, gi, r), burn_in_fraction)
+    runs = [
+        (lr, m, derive_seed(master_seed, gi, r))
         for gi, (lr, m) in enumerate(grid)
         for r in range(replicas)
     ]
-    outcomes = parallel_map(_scan_replica_task, payloads, workers)
+    if model.synthesizes_noise:
+        run = _advance_rows(model, theta_star, *zip(*runs), run_length, record_stride=stride)
+        run.raise_first_divergence()
+        outcomes = [_stationary_means(run.trajectory(i), burn_in_fraction)
+                    for i in range(len(runs))]
+    else:
+        payloads = [(model, theta_star, lr, m, run_length, stride, seed, burn_in_fraction)
+                    for lr, m, seed in runs]
+        outcomes = parallel_map(_scan_replica_task, payloads, workers)
     rows = []
     for gi, (lr, m) in enumerate(grid):
         chunk = outcomes[gi * replicas : (gi + 1) * replicas]
@@ -371,7 +395,8 @@ def linear_scaling_experiment(
     (1% of records), interpolated onto a shared post-burn-in time grid, and
     scored by mean absolute difference from the base curve.  A config whose
     (lr, m) equals the base draws the same seed and so reproduces the base
-    run exactly.
+    run exactly.  On a synthesized-noise quadratic all configs run as rows
+    of one lockstep call; ``workers`` only fans out finite-data runs.
     """
     base_lr, base_m = float(base[0]), int(base[1])
     if run_length < 2:
@@ -388,12 +413,16 @@ def linear_scaling_experiment(
     theta_init = np.zeros(model.param_dim) if theta0 is None else np.asarray(theta0, float)
     stride = record_stride or max(1, run_length // 2000)
     want_accuracy = hasattr(model, "accuracy")
-    payloads = [
-        (model, theta_init, lr, m, run_length, stride,
-         derive_seed(seed, m, float_bits(lr)), want_accuracy)
-        for _, _, lr, m in configs
-    ]
-    results = parallel_map(_scaling_run_task, payloads, workers)
+    runs = [(lr, m, derive_seed(seed, m, float_bits(lr))) for _, _, lr, m in configs]
+    if model.synthesizes_noise:
+        run = _advance_rows(model, as_param_vector(theta_init, model.param_dim), *zip(*runs),
+                            run_length, record_stride=stride)
+        run.raise_first_divergence()
+        results = [(run.trajectory(i), None) for i in range(len(runs))]
+    else:
+        payloads = [(model, theta_init, lr, m, run_length, stride, run_seed, want_accuracy)
+                    for lr, m, run_seed in runs]
+        results = parallel_map(_scaling_run_task, payloads, workers)
 
     horizon = min(traj.times[-1] for traj, _ in results)
     grid = np.linspace(burn_in_fraction * horizon, horizon, grid_points)
@@ -572,6 +601,7 @@ class SaddleReport:
     escape_fraction: float
     median_slope: float
     expected_slope: float
+    expected_slope_small_lr: float
     replica_slopes: list[float]
     lambda_neg: float
     learning_rate: float
@@ -585,6 +615,7 @@ class SaddleReport:
             "escape_fraction": self.escape_fraction,
             "median_slope": self.median_slope,
             "expected_slope": self.expected_slope,
+            "expected_slope_small_lr": self.expected_slope_small_lr,
             "replica_slopes": list(self.replica_slopes),
             "lambda_neg": self.lambda_neg,
             "lr": self.learning_rate,
@@ -592,6 +623,21 @@ class SaddleReport:
             "steps": self.steps,
             "replicas": self.replicas,
         }
+
+
+def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replicas, seed):
+    """Yield (trajectory, stopped by the divergence guard) per saddle replica.
+
+    All replicas start at the origin and advance in lockstep; replica ``r``
+    draws from ``derive_seed(seed, r)``.
+    """
+    run = _advance_rows(
+        model, np.zeros(model.param_dim), [learning_rate] * replicas, [batch_size] * replicas,
+        [derive_seed(seed, r) for r in range(replicas)], steps,
+        record_stride=max(1, steps // 5000), snapshots=True,
+    )
+    for r in range(replicas):
+        yield run.trajectory(r), r in run.failures
 
 
 def saddle_divergence_experiment(
@@ -606,42 +652,35 @@ def saddle_divergence_experiment(
     """Noise-driven escape from an exact saddle start.
 
     Replica runs of Gaussian-noise SGD start at the stationary point of an
-    indefinite quadratic.  Verdict DIVERGED requires at least half the
-    replicas to push their iterate norm past 1e6 within the step budget
-    AND the median per-step growth rate of the unstable-direction
-    projection to sit within 30% of lr * |most negative eigenvalue|.
+    indefinite quadratic and advance in lockstep.  Verdict DIVERGED
+    requires at least half the replicas to push their iterate norm past
+    1e6 within the step budget (a replica stopped by the divergence guard
+    counts as escaped) AND the median per-step growth rate of the
+    unstable-direction projection to sit within 30% of
+    log(1 + lr * |most negative eigenvalue|), the exact rate of the linear
+    recursion.  The report also carries its small-step limit
+    lr * |lambda_neg| as ``expected_slope_small_lr``.
     """
-    eig = sym_eigendecompose(h_indefinite)
-    lam_min = float(eig.eigenvalues[0])
-    if lam_min >= 0:
-        raise ExperimentError(
-            "curvature is positive semidefinite; the saddle probe needs a negative eigenvalue"
-        )
     if replicas < 1 or steps < 1:
         raise ExperimentError("replicas and steps must be positive")
-    unstable = eig.eigenvectors[:, 0]
     model = QuadraticModel(
         h_indefinite,
         np.zeros(h_indefinite.dim),
         noise_cov,
         require_positive_definite=False,
     )
-    stride = max(1, steps // 5000)
-    expected_slope = learning_rate * abs(lam_min)
+    eig = model.hessian_eig
+    lam_min = float(eig.eigenvalues[0])
+    if lam_min >= 0:
+        raise ExperimentError(
+            "curvature is positive semidefinite; the saddle probe needs a negative eigenvalue"
+        )
+    unstable = eig.eigenvectors[:, 0]
+    expected_slope = math.log1p(learning_rate * abs(lam_min))
 
     escaped = 0
     slopes = []
-    for r in range(replicas):
-        cfg = SgdConfig(learning_rate, batch_size, steps, derive_seed(seed, r))
-        try:
-            traj = gaussian_sgd_run(
-                model, np.zeros(h_indefinite.dim), cfg,
-                record_stride=stride, snapshots=True,
-            )
-            blew_up = False
-        except DivergenceError as err:
-            traj = err.trajectory
-            blew_up = True
+    for traj, blew_up in _saddle_runs(model, learning_rate, batch_size, steps, replicas, seed):
         norms = np.sqrt((traj.thetas * traj.thetas).sum(axis=1))
         if blew_up or norms.max() >= ESCAPE_NORM:
             escaped += 1
@@ -669,6 +708,7 @@ def saddle_divergence_experiment(
         escape_fraction=escape_fraction,
         median_slope=median_slope,
         expected_slope=expected_slope,
+        expected_slope_small_lr=learning_rate * abs(lam_min),
         replica_slopes=slopes,
         lambda_neg=lam_min,
         learning_rate=learning_rate,

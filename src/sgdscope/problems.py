@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from .linalg import (
+    EigenDecomposition,
     NotPositiveDefiniteError,
     PD_MARGIN,
     SymMatrix,
@@ -181,6 +182,11 @@ class QuadraticModel(LossModel):
     @property
     def minimizer(self) -> ParamVector:
         return self._minimizer.copy()
+
+    @property
+    def hessian_eig(self) -> EigenDecomposition:
+        """Eigendecomposition of the curvature matrix, eigenvalues ascending."""
+        return self._eig
 
     def loss(self, theta: ParamVector) -> float:
         d = theta - self._minimizer

@@ -21,6 +21,7 @@ from sgdscope.engine import (
     write_snapshots_csv,
     write_trajectory_csv,
 )
+from sgdscope.engine import _advance_rows, _rowwise_matmul
 from sgdscope.linalg import SymMatrix
 from sgdscope.problems import QuadraticModel, generate_blobs, make_logistic, make_quadratic
 
@@ -528,3 +529,84 @@ class TestTrajectoryCsv:
         traj = sgd_run(model, [1.0], SgdConfig(0.1, 1, 4, 0))
         with pytest.raises(EngineError, match="no snapshots"):
             write_snapshots_csv(tmp_path / "x.csv", traj)
+
+
+def dense_quadratic(dim, seed):
+    rng = np.random.default_rng(seed)
+    return make_quadratic(
+        hessian=random_spd(rng, dim), minimizer=rng.standard_normal(dim),
+        noise_cov=random_spd(rng, dim),
+    )
+
+
+class TestLockstepCore:
+    def test_rowwise_product_matches_blas_and_ignores_other_rows(self):
+        rng = np.random.default_rng(3)
+        for p, rows in ((2, 40), (9, 3), (17, 17), (64, 1)):
+            a = rng.standard_normal((p, p))
+            x = rng.standard_normal((rows, p))
+            full = _rowwise_matmul(x, a)
+            np.testing.assert_allclose(full, x @ a, rtol=1e-12, atol=1e-12)
+            for r in range(rows):
+                np.testing.assert_array_equal(_rowwise_matmul(x[r : r + 1], a), full[r : r + 1])
+
+    def test_row_is_independent_of_other_rows_and_block_size(self):
+        # p = 9 is where BLAS kernels already change the last bits of a row
+        # with the row count; the core's rows must not.
+        model = dense_quadratic(9, 1)
+        theta0 = model.minimizer + 0.1
+        lrs, ms, seeds = [0.02, 0.05, 0.01], [3, 1, 8], [11, 12, 13]
+        together = _advance_rows(model, theta0, lrs, ms, seeds, 700, record_stride=7, snapshots=True)
+        for r in range(3):
+            alone = _advance_rows(model, theta0, [lrs[r]], [ms[r]], [seeds[r]], 700,
+                                  record_stride=7, snapshots=True, block=13)
+            a, b = together.trajectory(r), alone.trajectory(0)
+            np.testing.assert_array_equal(a.steps, b.steps)
+            np.testing.assert_array_equal(a.losses, b.losses)
+            np.testing.assert_array_equal(a.grad_norms_sq, b.grad_norms_sq)
+            np.testing.assert_array_equal(a.thetas, b.thetas)
+            np.testing.assert_array_equal(together.finals[r], alone.finals[0])
+
+    def test_tripped_row_stops_and_others_go_on(self):
+        model = quadratic([1.0, 2.0], 0.2)
+        run = _advance_rows(model, np.zeros(2), [0.05, 1.5, 0.05], [1, 1, 2], [1, 2, 3], 400,
+                            record_stride=10)
+        assert list(run.failures) == [1]
+        err = run.failures[1]
+        assert 0 < err.step < 400
+        assert run.trajectory(1).steps[-1] < err.step
+        np.testing.assert_array_equal(err.trajectory.losses, run.trajectory(1).losses)
+        assert run.trajectory(0).steps[-1] == run.trajectory(2).steps[-1] == 400
+        with pytest.raises(DivergenceError) as info:
+            run.raise_first_divergence()
+        assert info.value is err
+
+    def test_records_match_the_model_on_a_dense_quadratic(self):
+        model = dense_quadratic(6, 2)
+        cfg = SgdConfig(0.05, 4, 300, seed=8)
+        traj = sgd_run(model, model.minimizer + 1.0, cfg, record_stride=30, snapshots=True)
+        losses = [model.loss(t) for t in traj.thetas]
+        grads = [model.full_grad(t) @ model.full_grad(t) for t in traj.thetas]
+        np.testing.assert_allclose(traj.losses, losses, rtol=1e-9)
+        np.testing.assert_allclose(traj.grad_norms_sq, grads, rtol=1e-9)
+
+    def test_gaussian_run_is_the_plain_run_on_quadratics(self):
+        model = dense_quadratic(4, 5)
+        cfg = SgdConfig(0.05, 3, 1200, seed=21)
+        plain = sgd_run(model, np.zeros(4), cfg, record_stride=10, snapshots=True)
+        gauss = gaussian_sgd_run(model, np.zeros(4), cfg, record_stride=10, snapshots=True)
+        np.testing.assert_array_equal(plain.thetas, gauss.thetas)
+        np.testing.assert_array_equal(plain.losses, gauss.losses)
+
+    def test_ensemble_is_the_core_final_state(self):
+        model = quadratic([1.0, 2.0], 0.3)
+        finals = sgd_replica_ensemble(model, [1.0, -1.0], 0.05, 2, 333, 5, master_seed=5)
+        seeds = np.random.SeedSequence(5).spawn(5)
+        run = _advance_rows(model, np.array([1.0, -1.0]), [0.05] * 5, [2] * 5, seeds, 333,
+                            record_stride=333)
+        np.testing.assert_array_equal(finals, run.finals)
+
+    def test_ensemble_divergence_names_the_step(self):
+        model = quadratic([1.0], 0.1)
+        with pytest.raises(EngineError, match=r"diverged: replica \d+, divergence at step \d+"):
+            sgd_replica_ensemble(model, [1.0], 3.0, 1, steps=500, replicas=3, master_seed=0)

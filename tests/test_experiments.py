@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from sgdscope.cli import main
+from sgdscope.engine import DivergenceError, SgdConfig, gaussian_sgd_run
 from sgdscope.experiments import (
     CurveSet,
     ExperimentError,
@@ -18,8 +20,15 @@ from sgdscope.experiments import (
     write_curves_csv,
     write_scan_csv,
 )
+from sgdscope.experiments import _saddle_runs
 from sgdscope.linalg import SymMatrix, solve_lyapunov
-from sgdscope.problems import generate_blobs, make_logistic, make_mlp, make_quadratic
+from sgdscope.problems import (
+    QuadraticModel,
+    generate_blobs,
+    make_logistic,
+    make_mlp,
+    make_quadratic,
+)
 
 
 def _cube(x):
@@ -141,6 +150,37 @@ class TestScanBsLr:
         assert cells[0] == "exp01"
         assert cells[1] == "1"
         assert len(cells) == 14
+
+
+    def test_grid_point_row_does_not_depend_on_other_grid_points(self, tmp_path):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((9, 9))
+        b = rng.standard_normal((9, 9))
+        model = make_quadratic(a @ a.T / 9 + np.eye(9), np.zeros(9), b @ b.T / 9)
+        alone = scan_bs_lr(model, [(0.02, 2)], run_length=3000, replicas=2, master_seed=9)
+        together = scan_bs_lr(model, [(0.02, 2), (0.05, 4), (0.01, 1)], run_length=3000,
+                              replicas=2, master_seed=9)
+        write_scan_csv(tmp_path / "alone.csv", alone)
+        write_scan_csv(tmp_path / "together.csv", together)
+        assert alone[0] == together[0]
+        alone_row = (tmp_path / "alone.csv").read_bytes().split(b"\n")[1]
+        assert alone_row == (tmp_path / "together.csv").read_bytes().split(b"\n")[1]
+
+    def test_divergent_grid_point_raises_with_its_partial_run(self, tmp_path, capsys):
+        # lr * lambda_max = 2.4 > 2 on the second grid point only.
+        model = make_quadratic(np.diag([1.0, 3.0]), np.zeros(2), 0.1 * np.eye(2))
+        with pytest.raises(DivergenceError, match="divergence at step") as info:
+            scan_bs_lr(model, [(0.01, 2), (0.8, 2)], run_length=2000, replicas=2, master_seed=4)
+        err = info.value
+        traj = err.trajectory
+        assert 0 < traj.steps[-1] < err.step < 2000
+        np.testing.assert_allclose(traj.times, 0.8 * traj.steps)
+        assert np.isfinite(traj.losses).all()
+        code = main(["scan", "--out_dir", str(tmp_path / "run"), "--hessian_diag", "1,3",
+                     "--noise_diag", "0.1,0.1", "--lr_list", "0.01,0.8", "--bs_list", "2,2",
+                     "--steps", "2000", "--replicas", "2", "--master_seed", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: scan: divergence at step")
 
 
 class TestLinearScaling:
@@ -287,6 +327,35 @@ class TestSaddleDivergence:
         assert report.escape_fraction >= 0.5
         assert abs(report.median_slope / report.expected_slope - 1.0) <= 0.30
         assert report.lambda_neg == -1.0
+
+    def test_replicas_match_single_row_gaussian_runs(self):
+        lr, m, steps, replicas, seed = 0.01, 1, 5000, 4, 6
+        model = QuadraticModel(SymMatrix(np.diag([1.0, -1.0])), np.zeros(2),
+                               SymMatrix(np.eye(2)), require_positive_definite=False)
+        stops = []
+        for r, (traj, stopped) in enumerate(_saddle_runs(model, lr, m, steps, replicas, seed)):
+            cfg = SgdConfig(lr, m, steps, derive_seed(seed, r))
+            try:
+                single = gaussian_sgd_run(model, np.zeros(2), cfg, snapshots=True)
+                single_stopped = False
+            except DivergenceError as err:
+                single, single_stopped = err.trajectory, True
+            assert stopped == single_stopped
+            np.testing.assert_array_equal(traj.steps, single.steps)
+            np.testing.assert_array_equal(traj.losses, single.losses)
+            np.testing.assert_array_equal(traj.grad_norms_sq, single.grad_norms_sq)
+            np.testing.assert_array_equal(traj.thetas, single.thetas)
+            stops.append(stopped)
+        assert any(stops)
+
+    def test_reports_exact_and_small_step_rates(self):
+        report = saddle_divergence_experiment(
+            SymMatrix(np.diag([1.0, -2.0])), SymMatrix(np.eye(2)),
+            learning_rate=0.05, batch_size=1, steps=200, replicas=2, seed=1,
+        )
+        assert report.expected_slope == math.log1p(0.1)
+        assert report.expected_slope_small_lr == 0.1
+        assert report.as_dict()["expected_slope_small_lr"] == 0.1
 
     def test_zero_noise_stays_pinned(self):
         report = saddle_divergence_experiment(
