@@ -4,9 +4,10 @@
 For a sequence of shrinking step sizes, runs replica ensembles of noisy SGD
 on a coupled 2-d quadratic, rescales the final-time deviation from the
 deterministic flow by sqrt(batch / lr), and compares its covariance to the
-integrated covariance ODE.  The relative Frobenius error shrinks as the
-step size does.  At long horizons the same ODE settles onto the stationary
-covariance from the continuous Lyapunov equation, which is printed last.
+closed form of the linearized diffusion's covariance.  The relative
+Frobenius error shrinks as the step size does.  At long horizons the same
+closed form settles onto the stationary covariance from the continuous
+Lyapunov equation, which is printed last.
 """
 
 import numpy as np

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, solve_lyapunov, sqrt_spd
+from .linalg import sqrt_spd
 from .problems import LossModel, QuadraticModel, as_param_vector, gradient_covariance
 
 __all__ = [
@@ -28,14 +28,11 @@ __all__ = [
     "DivergenceError",
     "SgdConfig",
     "Trajectory",
-    "OuSpec",
     "sgd_run",
     "gaussian_sgd_run",
     "sde_run",
     "gradient_flow",
     "ou_eigenbasis_run",
-    "fluctuation_trajectory",
-    "integrate_fluctuation_covariance",
     "sgd_replica_ensemble",
     "write_trajectory_csv",
     "write_snapshots_csv",
@@ -60,10 +57,16 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, trajectory: "Trajectory", detail: str = ""):
         self.step = step
         self.trajectory = trajectory
+        self.detail = detail
         message = f"divergence at step {step}"
         if detail:
             message += f": {detail}"
         super().__init__(message)
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the error survives the
+        # pickling that brings it back from a worker process.
+        return type(self), (self.step, self.trajectory, self.detail)
 
 
 def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
@@ -563,44 +566,6 @@ def gradient_flow(
     return rec.trajectory(0, dt)
 
 
-@dataclass(frozen=True)
-class OuSpec:
-    """Linear diffusion dX = -A X dt + scale * B dW with B B^T = Q.
-
-    ``drift`` (A) is symmetric; ``diffusion_cov`` (Q) must be PSD.  The
-    stationary covariance solves G A + A G = scale^2 * Q.
-    """
-
-    drift: SymMatrix
-    diffusion_cov: SymMatrix
-    scale: float = 1.0
-    diffusion_root: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.drift.dim != self.diffusion_cov.dim:
-            raise EngineError("drift and diffusion dimensions disagree")
-        if not (np.isfinite(self.scale) and self.scale >= 0):
-            raise EngineError("scale must be nonnegative and finite")
-        object.__setattr__(self, "diffusion_root", sqrt_spd(self.diffusion_cov))
-
-    @classmethod
-    def eigenbasis(cls, eigenvalues, learning_rate: float, batch_size: int) -> "OuSpec":
-        lam = np.asarray(eigenvalues, dtype=float)
-        return cls(
-            drift=SymMatrix.diagonal(lam),
-            diffusion_cov=SymMatrix.diagonal(lam),
-            scale=float(np.sqrt(learning_rate / batch_size)),
-        )
-
-    @classmethod
-    def at_minimum(cls, hessian: SymMatrix, noise_cov: SymMatrix) -> "OuSpec":
-        return cls(drift=hessian, diffusion_cov=noise_cov, scale=1.0)
-
-    def stationary_covariance(self) -> SymMatrix:
-        scaled = SymMatrix(self.scale**2 * self.diffusion_cov.entries)
-        return solve_lyapunov(self.drift, scaled)
-
-
 def ou_eigenbasis_run(
     eigenvalues,
     learning_rate: float,
@@ -647,106 +612,6 @@ def ou_eigenbasis_run(
         if k % record_stride == 0 or k == steps:
             add(k, z)
     return rec.trajectory(0, dt)
-
-
-def _hermite_interpolate(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Piecewise-cubic Hermite evaluation of values on grid at query times."""
-    idx = np.searchsorted(grid, query, side="right") - 1
-    idx = np.clip(idx, 0, len(grid) - 2)
-    width = grid[idx + 1] - grid[idx]
-    tau = ((query - grid[idx]) / width)[:, None]
-    t2 = tau * tau
-    t3 = t2 * tau
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + tau
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    w = width[:, None]
-    return (
-        h00 * values[idx]
-        + h10 * w * slopes[idx]
-        + h01 * values[idx + 1]
-        + h11 * w * slopes[idx + 1]
-    )
-
-
-def fluctuation_trajectory(
-    sgd_traj: Trajectory,
-    flow_traj: Trajectory,
-    learning_rate: float,
-    batch_size: int,
-    *,
-    model: LossModel | None = None,
-) -> Trajectory:
-    """Rescaled deviation sqrt(m / lr) * (x(t) - X(t)) at the SGD record times.
-
-    The deterministic reference X is evaluated by cubic Hermite interpolation
-    on the flow grid, with exact slopes -grad f(X) when a model is supplied
-    and finite-difference slopes otherwise.  The returned records store the
-    deviation snapshots; their loss column holds 0.5 * ||v||^2 and the
-    gradient column ||v||^2 (the process has no loss of its own).
-    """
-    if sgd_traj.thetas is None or flow_traj.thetas is None:
-        raise EngineError("both trajectories must carry parameter snapshots")
-    grid = flow_traj.times
-    if len(grid) < 2:
-        raise EngineError("flow trajectory needs at least two records to interpolate")
-    horizon = grid[-1] + 1e-9 * max(1.0, abs(grid[-1]))
-    if sgd_traj.times[-1] > horizon:
-        raise EngineError(
-            f"time-range mismatch: SGD runs to t={sgd_traj.times[-1]} but the "
-            f"flow grid ends at t={grid[-1]}"
-        )
-    values = flow_traj.thetas
-    if model is not None:
-        slopes = np.stack([-model.full_grad(x) for x in values])
-    else:
-        slopes = np.empty_like(values)
-        slopes[1:-1] = (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])[:, None]
-        slopes[0] = (values[1] - values[0]) / (grid[1] - grid[0])
-        slopes[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-    reference = _hermite_interpolate(grid, values, slopes, sgd_traj.times)
-    deviations = np.sqrt(batch_size / learning_rate) * (sgd_traj.thetas - reference)
-    norms_sq = (deviations * deviations).sum(axis=1)
-    return Trajectory(
-        record_stride=sgd_traj.record_stride,
-        steps=sgd_traj.steps.copy(),
-        times=sgd_traj.times.copy(),
-        losses=0.5 * norms_sq,
-        grad_norms_sq=norms_sq,
-        thetas=deviations,
-    )
-
-
-def integrate_fluctuation_covariance(
-    hessian_along_flow,
-    cov_along_flow,
-    t_end: float,
-    dt: float,
-) -> SymMatrix:
-    """RK4 integration of dG/dt = -(H(t) G + G H(t)) + Q(t) from G(0) = 0.
-
-    ``hessian_along_flow`` and ``cov_along_flow`` map a time to a SymMatrix;
-    the result is the deviation-process covariance at ``t_end``.
-    """
-    steps = _step_count(t_end, dt)
-    h0 = hessian_along_flow(0.0)
-    dim = h0.dim
-
-    def deriv(t: float, g: np.ndarray) -> np.ndarray:
-        h = hessian_along_flow(t).entries
-        q = cov_along_flow(t).entries
-        return -(h @ g + g @ h) + q
-
-    gamma = np.zeros((dim, dim))
-    for k in range(steps):
-        t = k * dt
-        k1 = deriv(t, gamma)
-        k2 = deriv(t + 0.5 * dt, gamma + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, gamma + 0.5 * dt * k2)
-        k4 = deriv(t + dt, gamma + dt * k3)
-        gamma = gamma + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SymMatrix(0.5 * (gamma + gamma.T))
 
 
 def sgd_replica_ensemble(

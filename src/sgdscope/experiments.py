@@ -20,7 +20,6 @@ from .engine import (
     Trajectory,
     _advance_rows,
     gradient_flow,
-    integrate_fluctuation_covariance,
     sgd_replica_ensemble,
     sgd_run,
 )
@@ -528,8 +527,8 @@ def clt_experiment(
     For each step size (strictly descending) the final-time deviation
     v(T) = sqrt(m/lr) (x(T) - X(T)) is sampled over replica ensembles and
     its covariance compared, in relative Frobenius distance, with the
-    integrated covariance ODE.  Errors must not grow as the step size
-    shrinks, up to twice the replica sampling noise.
+    closed form of the linearized diffusion's covariance.  Errors must not
+    grow as the step size shrinks, up to twice the replica sampling noise.
     """
     if not isinstance(model, QuadraticModel) or not model.synthesizes_noise:
         raise ExperimentError("the deviation ensemble needs a synthesized-noise quadratic model")
@@ -544,9 +543,13 @@ def clt_experiment(
         raise ExperimentError("t_end must be positive and finite")
     start = model.minimizer.copy() if theta0 is None else np.asarray(theta0, float)
 
-    hessian = model.hessian
-    noise_cov = model.exact_gradient_covariance()
-    ode_dt = min(t_end / 2000.0, 0.5 / max(1.0, np.linalg.norm(hessian.entries)))
+    # The deviation covariance solves dG/dt = -(H G + G H) + C from G(0) = 0:
+    # G(t) = V [C'_ij (1 - exp(-(lam_i + lam_j) t)) / (lam_i + lam_j)] V^T
+    # with C' = V^T C V.  A zero pair sum (indefinite H) takes the limit t.
+    eig = model.hessian_eig
+    v = eig.eigenvectors
+    rates = eig.eigenvalues[:, None] + eig.eigenvalues[None, :]
+    rotated_cov = v.T @ model.exact_gradient_covariance().entries @ v
 
     errors = []
     predicted_covs = []
@@ -562,9 +565,10 @@ def clt_experiment(
         deviations = np.sqrt(batch_size / delta) * (finals - reference)
         centered = deviations - deviations.mean(axis=0)
         empirical = centered.T @ centered / (replicas - 1)
-        predicted = integrate_fluctuation_covariance(
-            lambda t: hessian, lambda t: noise_cov, horizon, ode_dt
-        )
+        growth = np.full_like(rates, horizon)
+        np.divide(-np.expm1(-rates * horizon), rates, out=growth, where=rates != 0.0)
+        gamma = v @ (rotated_cov * growth) @ v.T
+        predicted = SymMatrix(0.5 * (gamma + gamma.T))
         diff = float(np.linalg.norm(empirical - predicted.entries))
         denom = float(np.linalg.norm(predicted.entries))
         # Zero predicted covariance (noise-free model): report the absolute

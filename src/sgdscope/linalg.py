@@ -1,16 +1,13 @@
 """Dense symmetric-matrix primitives for small optimization problems.
 
-Everything here targets modest dimensions (tens to a few hundred): a
-validated symmetric-matrix container, a cyclic Jacobi eigensolver, a
-positive-semidefinite square root, and a solver for the stationary
-covariance equation ``G @ H + H @ G = Q`` with ``H`` symmetric positive
-definite.  The Jacobi route is deliberately self-contained so that library
-eigensolvers can serve as independent references in the test suite.
+A validated symmetric-matrix container, the symmetric eigendecomposition
+(LAPACK through numpy), a positive-semidefinite square root, and a solver
+for the stationary covariance equation ``G @ H + H @ G = Q`` with ``H``
+symmetric positive definite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +15,6 @@ import numpy as np
 __all__ = [
     "LinAlgError",
     "SymmetryError",
-    "ConvergenceError",
     "NotPositiveDefiniteError",
     "SymMatrix",
     "EigenDecomposition",
@@ -41,15 +37,11 @@ PD_MARGIN = 1e-12
 
 
 class LinAlgError(ValueError):
-    """Base class for matrix precondition and convergence failures."""
+    """Base class for matrix precondition failures."""
 
 
 class SymmetryError(LinAlgError):
     """Raised when a matrix fails the symmetry tolerance."""
-
-
-class ConvergenceError(LinAlgError):
-    """Raised when an iterative routine exhausts its budget."""
 
 
 class NotPositiveDefiniteError(LinAlgError):
@@ -118,81 +110,15 @@ class EigenDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def sym_eigendecompose(matrix: SymMatrix) -> EigenDecomposition:
+    """Full eigendecomposition by LAPACK's symmetric solver (``numpy.linalg.eigh``).
 
-
-def sym_eigendecompose(
-    matrix: SymMatrix, *, max_sweeps: int = 100, tol: float = 1e-14
-) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in row order, annihilating one
-    off-diagonal pair per rotation, until the off-diagonal Frobenius norm
-    drops below ``tol`` times the Frobenius norm of the input, or the sweep
-    budget runs out.
-
-    Returns eigenvalues in ascending order with matching eigenvector
-    columns.  Raises :class:`ConvergenceError` when the budget is exhausted.
+    Returns eigenvalues in ascending order with matching orthonormal
+    eigenvector columns.  Every eigendecomposition in the package goes
+    through this function.
     """
-    a = np.array(matrix.entries)
-    n = a.shape[0]
-    v = np.eye(n)
-    target = tol * float(np.linalg.norm(a))
-    converged = n == 1 or _offdiag_norm(a) <= target
-    sweeps = 0
-    while not converged:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"cyclic Jacobi did not reach off-diagonal tolerance {target:.3e} "
-                f"within {max_sweeps} sweeps (dim={n}, off-diagonal norm "
-                f"{_offdiag_norm(a):.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # theta**2 would overflow; use the small-angle limit.
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                # Overwrite the 2x2 block with the stable closed form; the
-                # rotation zeroes the (p,q) pair by construction.
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-        sweeps += 1
-        converged = _offdiag_norm(a) <= target
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=eigenvalues[order], eigenvectors=v[:, order]
-    )
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix.entries)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def sqrt_spd(matrix: SymMatrix) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "make_quadratic",
     "make_logistic",
     "make_mlp",
-    "minibatch_grad",
     "gradient_covariance",
     "hessian_dense",
     "generate_blobs",
@@ -116,10 +115,6 @@ class LossModel(abc.ABC):
 
     def synthesized_grad_draws(self, theta: ParamVector, count: int, rng) -> np.ndarray:
         """`count` fresh per-example gradient draws (synthesized noise only)."""
-        raise ModelError("model does not synthesize gradient noise")
-
-    def synthesized_minibatch_grad(self, theta: ParamVector, count: int, rng) -> ParamVector:
-        """Mean of ``count`` fresh per-example draws (synthesized noise only)."""
         raise ModelError("model does not synthesize gradient noise")
 
     def exact_gradient_covariance(self) -> SymMatrix | None:
@@ -206,15 +201,6 @@ class QuadraticModel(LossModel):
     def synthesized_grad_draws(self, theta: ParamVector, count: int, rng) -> np.ndarray:
         eps = rng.standard_normal((count, self.param_dim))
         return self.full_grad(theta) + eps @ self.noise_sqrt.T
-
-    def synthesized_minibatch_grad(self, theta: ParamVector, count: int, rng) -> ParamVector:
-        """Mean of ``count`` fresh per-example draws.
-
-        Grouped as full_grad + mean(noise) so a zero noise covariance
-        reproduces the deterministic gradient bitwise.
-        """
-        eps = rng.standard_normal((count, self.param_dim))
-        return self.full_grad(theta) + (eps @ self.noise_sqrt.T).mean(axis=0)
 
     def exact_gradient_covariance(self) -> SymMatrix | None:
         return self.noise_cov
@@ -472,26 +458,6 @@ def make_mlp(input_dim: int, hidden_dim: int, class_count: int, dataset, seed: i
     """Build the tanh network on a ``(features, labels)`` dataset pair."""
     features, labels = dataset
     return MlpModel(input_dim, hidden_dim, class_count, features, labels, seed)
-
-
-def minibatch_grad(model: LossModel, theta: ParamVector, indices, rng=None) -> ParamVector:
-    """Mean of per-example gradients over the given batch.
-
-    Finite-data models index their dataset; synthesized-noise models draw
-    ``len(indices)`` fresh noise samples from ``rng`` (the index values are
-    only a batch-size carrier there).
-    """
-    idx = np.asarray(indices, dtype=int).reshape(-1)
-    if idx.size == 0:
-        raise ModelError("minibatch must contain at least one index")
-    n = model.example_count
-    if n is not None:
-        if idx.min() < 0 or idx.max() >= n:
-            raise ModelError(f"batch index out of range [0, {n})")
-        return model.batch_grad(theta, idx)
-    if rng is None:
-        raise ModelError("synthesized-noise models need an explicit rng for minibatch draws")
-    return model.synthesized_minibatch_grad(theta, idx.size, rng)
 
 
 def gradient_covariance(

@@ -1,5 +1,7 @@
 """Dynamics engines: discrete runs, integrators, and the deviation process."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,10 @@ from sgdscope import engine
 from sgdscope.engine import (
     DivergenceError,
     EngineError,
-    OuSpec,
     SgdConfig,
     Trajectory,
-    fluctuation_trajectory,
     gaussian_sgd_run,
     gradient_flow,
-    integrate_fluctuation_covariance,
     ou_eigenbasis_run,
     sde_run,
     sgd_replica_ensemble,
@@ -22,7 +21,7 @@ from sgdscope.engine import (
     write_trajectory_csv,
 )
 from sgdscope.engine import _advance_rows, _rowwise_matmul
-from sgdscope.linalg import SymMatrix
+from sgdscope.experiments import clt_experiment
 from sgdscope.problems import QuadraticModel, generate_blobs, make_logistic, make_quadratic
 
 from _oracles import lyapunov_kron_oracle, random_spd
@@ -173,6 +172,20 @@ class TestSgdRun:
         assert err.trajectory.steps[-1] < err.step
         assert err.trajectory.losses[0] == 0.5
 
+    def test_divergence_error_survives_pickling(self):
+        model = quadratic([1.0], 0.0)
+        with pytest.raises(DivergenceError) as info:
+            sgd_run(model, [1.0], SgdConfig(3.0, 1, 500, 0), record_stride=5)
+        err = info.value
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is DivergenceError
+        assert clone.step == err.step
+        assert str(clone) == str(err)
+        np.testing.assert_array_equal(clone.trajectory.steps, err.trajectory.steps)
+        np.testing.assert_array_equal(clone.trajectory.losses, err.trajectory.losses)
+        detailed = pickle.loads(pickle.dumps(DivergenceError(7, err.trajectory, "loss is nan")))
+        assert (detailed.step, str(detailed)) == (7, "divergence at step 7: loss is nan")
+
 
 class TestGaussianSgdRun:
     def test_zero_noise_bitwise_matches_plain_sgd(self):
@@ -316,41 +329,21 @@ class TestOuRun:
         np.testing.assert_allclose(traj.losses, recomputed, rtol=1e-12, atol=1e-300)
 
 
-class TestOuSpec:
-    def test_eigenbasis_stationary_covariance(self):
-        spec = OuSpec.eigenbasis([0.5, 1.0, 2.0], learning_rate=0.01, batch_size=10)
-        cov = spec.stationary_covariance()
-        np.testing.assert_allclose(cov.entries, 5e-4 * np.eye(3), atol=1e-15)
-
-    def test_at_minimum_matches_kron_oracle(self):
-        rng = np.random.default_rng(6)
-        h = random_spd(rng, 4)
-        q = random_spd(rng, 4)
-        spec = OuSpec.at_minimum(SymMatrix(h), SymMatrix(q))
-        np.testing.assert_allclose(
-            spec.stationary_covariance().entries, lyapunov_kron_oracle(h, q), atol=1e-10
-        )
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(EngineError):
-            OuSpec(SymMatrix.identity(2), SymMatrix.identity(3))
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(EngineError):
-            OuSpec(SymMatrix.identity(2), SymMatrix.identity(2), scale=-1.0)
-
-
 class TestFluctuationCovariance:
+    # The deviation covariance solves dG/dt = -(HG + GH) + C from G(0) = 0;
+    # clt_experiment reports it, in closed form, as predicted_covs.
     def test_scalar_closed_form(self):
         h, c = 1.5, 0.7
-        hess = lambda t: SymMatrix([[h]])
-        cov = lambda t: SymMatrix([[c]])
+        model = make_quadratic(np.array([[h]]), np.zeros(1), np.array([[c]]))
         for t_end in (0.5, 1.0, 2.0):
-            gamma = integrate_fluctuation_covariance(hess, cov, t_end, dt=1e-3)
+            report = clt_experiment(model, [0.01], 1, t_end, replicas=100, seed=5)
+            gamma = report.predicted_covs[0]
             expected = c * (1.0 - np.exp(-2.0 * h * t_end)) / (2.0 * h)
             assert abs(gamma.entries[0, 0] - expected) < 1e-8
 
     def test_matrix_closed_form(self):
+        # G(t) = G_inf - exp(-Ht) G_inf exp(-Ht), with G_inf from the
+        # Kronecker solve rather than from eigh.
         rng = np.random.default_rng(17)
         h = random_spd(rng, 4)
         q = random_spd(rng, 4)
@@ -359,71 +352,14 @@ class TestFluctuationCovariance:
         t_end = 1.3
         decay = v @ np.diag(np.exp(-w * t_end)) @ v.T
         expected = gamma_inf - decay @ gamma_inf @ decay
-        gamma = integrate_fluctuation_covariance(
-            lambda t: SymMatrix(h), lambda t: SymMatrix(q), t_end, dt=1e-3
+        report = clt_experiment(
+            make_quadratic(h, np.zeros(4), q), [0.01], 1, t_end, replicas=100, seed=2
         )
-        np.testing.assert_allclose(gamma.entries, expected, atol=1e-7)
-
-    def test_zero_horizon_is_zero(self):
-        gamma = integrate_fluctuation_covariance(
-            lambda t: SymMatrix.identity(3), lambda t: SymMatrix.identity(3), 0.0, dt=0.01
-        )
-        np.testing.assert_array_equal(gamma.entries, np.zeros((3, 3)))
-
-    def test_time_dependent_coefficients(self):
-        # dG/dt = -2 a(t) G + q with a(t) = 1 + t has the integrating-factor
-        # solution G(t) = q * exp(-(2t + t^2)) * int_0^t exp(2s + s^2) ds.
-        q = 0.4
-        t_end = 1.0
-        gamma = integrate_fluctuation_covariance(
-            lambda t: SymMatrix([[1.0 + t]]), lambda t: SymMatrix([[q]]), t_end, dt=1e-4
-        )
-        grid = np.linspace(0.0, t_end, 200_001)
-        integrand = np.exp(2.0 * grid + grid**2)
-        integral = np.trapezoid(integrand, grid)
-        expected = q * np.exp(-(2.0 * t_end + t_end**2)) * integral
-        assert abs(gamma.entries[0, 0] - expected) < 1e-8
+        gamma = report.predicted_covs[0].entries
+        assert np.linalg.norm(gamma - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestFluctuationTrajectory:
-    def test_deviation_of_matching_dynamics_is_tiny(self):
-        model = quadratic([0.5, 2.5], 0.1)
-        theta0 = np.array([1.0, -1.5])
-        coarse = gradient_flow(model, theta0, t_end=2.0, dt=0.02)
-        fine = gradient_flow(model, theta0, t_end=2.0, dt=0.004, record_stride=3)
-        v = fluctuation_trajectory(fine, coarse, learning_rate=0.01, batch_size=10, model=model)
-        assert np.abs(v.thetas).max() < 1e-4
-        np.testing.assert_array_equal(v.steps, fine.steps)
-        np.testing.assert_allclose(v.losses, 0.5 * v.grad_norms_sq, rtol=1e-12)
-
-    def test_rescaling_factor(self):
-        model = quadratic([1.0], 0.0)
-        flow = gradient_flow(model, [1.0], t_end=1.0, dt=0.01)
-        shifted = Trajectory(
-            record_stride=flow.record_stride,
-            steps=flow.steps.copy(),
-            times=flow.times.copy(),
-            losses=flow.losses.copy(),
-            grad_norms_sq=flow.grad_norms_sq.copy(),
-            thetas=flow.thetas + 0.3,
-        )
-        v = fluctuation_trajectory(shifted, flow, learning_rate=0.04, batch_size=4, model=model)
-        np.testing.assert_allclose(v.thetas, np.sqrt(4 / 0.04) * 0.3, rtol=1e-9)
-
-    def test_requires_snapshots(self):
-        model = quadratic([1.0], 0.0)
-        flow = gradient_flow(model, [1.0], t_end=1.0, dt=0.01)
-        bare = sgd_run(model, [1.0], SgdConfig(0.01, 1, 10, 0))
-        with pytest.raises(EngineError, match="snapshots"):
-            fluctuation_trajectory(bare, flow, 0.01, 1)
-
-    def test_time_range_mismatch_rejected(self):
-        model = quadratic([1.0], 0.0)
-        flow = gradient_flow(model, [1.0], t_end=1.0, dt=0.01)
-        sgd = sgd_run(model, [1.0], SgdConfig(0.01, 1, 200, 0), snapshots=True)
-        with pytest.raises(EngineError, match="time-range mismatch"):
-            fluctuation_trajectory(sgd, flow, 0.01, 1)
-
     def test_final_deviation_variance_matches_covariance_ode(self):
         # Rescaled SGD deviations from the flow should carry the covariance
         # the linearized diffusion predicts.

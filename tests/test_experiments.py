@@ -182,6 +182,21 @@ class TestScanBsLr:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: scan: divergence at step")
 
+    def test_finite_data_divergence_comes_back_from_worker_processes(self):
+        features, labels = generate_blobs(example_count=30, feature_dim=2, class_count=2, seed=5)
+        model = make_logistic(features, labels, l2_penalty=1.0)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(DivergenceError) as info:
+                scan_bs_lr(model, [(0.1, 5), (5.0, 5)], run_length=500, replicas=2,
+                           master_seed=1, workers=workers)
+            errors.append(info.value)
+        serial, pooled = errors
+        assert pooled.step == serial.step > 0
+        assert str(pooled) == str(serial)
+        np.testing.assert_array_equal(pooled.trajectory.steps, serial.trajectory.steps)
+        np.testing.assert_array_equal(pooled.trajectory.losses, serial.trajectory.losses)
+
 
 class TestLinearScaling:
     def test_ratio_classes_order_on_quadratic(self):
@@ -283,6 +298,20 @@ class TestCltExperiment:
         expected = 0.5 * (1.0 - np.exp(-4.0))
         empirical = report.empirical_covs[0][0, 0]
         assert abs(empirical / expected - 1.0) < 3.0 * report.noise_allowance
+
+    def test_zero_eigenvalue_pair_sum_takes_the_horizon_limit(self):
+        # H = diag(1, -1): the off-diagonal entry grows as C_01 * t.
+        model = QuadraticModel(
+            SymMatrix.diagonal([1.0, -1.0]), np.zeros(2), SymMatrix([[1.0, 0.3], [0.3, 1.0]]),
+            require_positive_definite=False,
+        )
+        report = clt_experiment(model, [0.01], 1, 0.5, replicas=100, seed=0)
+        t = 50 * 0.01
+        expected = [
+            [(1.0 - np.exp(-2.0 * t)) / 2.0, 0.3 * t],
+            [0.3 * t, (np.exp(2.0 * t) - 1.0) / 2.0],
+        ]
+        np.testing.assert_allclose(report.predicted_covs[0].entries, expected, rtol=1e-12)
 
     def test_zero_noise_gives_zero_covariance(self):
         model = isotropic_quadratic(2, 1.0, 0.0)

@@ -13,7 +13,6 @@ from sgdscope.problems import (
     make_logistic,
     make_mlp,
     make_quadratic,
-    minibatch_grad,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -228,30 +227,13 @@ class TestMinibatchGrad:
         theta = rng.normal(size=model.param_dim)
         idx = rng.integers(0, model.example_count, size=7)
         expected = np.mean([model.per_example_grad(theta, int(j)) for j in idx], axis=0)
-        npt.assert_allclose(minibatch_grad(model, theta, idx), expected, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(model.batch_grad(theta, idx), expected, rtol=1e-12, atol=1e-15)
 
     def test_all_indices_equals_full_gradient(self):
         model = small_logistic()
         theta = np.full(model.param_dim, 0.2)
-        batch = minibatch_grad(model, theta, np.arange(model.example_count))
+        batch = model.batch_grad(theta, np.arange(model.example_count))
         npt.assert_allclose(batch, model.full_grad(theta), rtol=1e-12, atol=1e-12)
-
-    def test_quadratic_zero_noise_is_exact_full_gradient(self):
-        model = small_quadratic(noise_scale=0.0)
-        theta = np.ones(5)
-        rng = np.random.default_rng(0)
-        batch = minibatch_grad(model, theta, np.zeros(10, dtype=int), rng=rng)
-        npt.assert_array_equal(batch, model.full_grad(theta))
-
-    def test_validation(self):
-        model = small_logistic()
-        with pytest.raises(ModelError, match="at least one"):
-            minibatch_grad(model, np.zeros(model.param_dim), [])
-        with pytest.raises(ModelError, match="out of range"):
-            minibatch_grad(model, np.zeros(model.param_dim), [model.example_count])
-        quad = small_quadratic()
-        with pytest.raises(ModelError, match="rng"):
-            minibatch_grad(quad, np.zeros(5), [0, 1])
 
 
 class TestGradientCovariance:
