@@ -206,22 +206,28 @@ def _rowwise_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``x @ a`` accumulated in index order by elementwise operations.
 
     BLAS kernels change with the number of rows, and with them the last bits
-    of every row; here each row of the result depends on its own row of
-    ``x`` alone.  Both loop orders below make the same operations in the
-    same order; they differ only in which axis numpy's inner loop runs along.
+    of every row; here each vector (last axis) of the result depends on its
+    own vector of ``x`` alone.  Both loop orders below make the same
+    operations in the same order; they differ only in which axis numpy's
+    inner loop runs along: ``q`` entries per vector in the row order, all
+    vectors in the column order.  The column order makes ``q`` times as many
+    numpy calls, so it pays only for many short vectors: beyond ``128 q``
+    vectors (the two orders cost the same at about 100 q to 200 q).
     """
     p, q = a.shape
-    rows = x.shape[-2] if x.ndim > 1 else 1
-    if rows <= p:
+    if x.size <= 128 * p * q:
         out = x[..., :1] * a[0]
+        term = np.empty_like(out)
         for k in range(1, p):
-            out += x[..., k : k + 1] * a[k]
+            out += np.multiply(x[..., k : k + 1], a[k], out=term)
         return out
     out = np.empty(x.shape[:-1] + (q,))
+    column = np.empty(x.shape[:-1])
+    term = np.empty_like(column)
     for j in range(q):
-        column = x[..., 0] * a[0, j]
+        np.multiply(x[..., 0], a[0, j], out=column)
         for k in range(1, p):
-            column += x[..., k] * a[k, j]
+            column += np.multiply(x[..., k], a[k, j], out=term)
         out[..., j] = column
     return out
 
@@ -334,7 +340,11 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
     noise of a whole block of steps has been transformed.  Each row draws
     its xi from its own generator a block at a time, and every operation
     acts on rows separately, so a row's result is independent of the other
-    rows and of the block size.
+    rows and of the block size.  A record only keeps z; flush() computes
+    the losses and gradient norms of many records in one pass, and
+    snapshots become theta = z V^T + theta* once, at the end.  Each entry
+    still undergoes the same operations in the same order as when every
+    record was computed on its own, so no output changes in any bit.
     """
     rec = out.records
     lrs = out.learning_rates
@@ -354,6 +364,11 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
     live = np.ones(rows, dtype=bool)
     recorded = 0
     next_record = 0
+    # Records keep z in the snapshot buffer, or else in ``held``, until
+    # flush(); both passes work on ``chunk`` records at a time.
+    chunk = max(1, min(len(rec.steps), _TILE_ENTRIES // (rows * p)))
+    held = np.empty((chunk, rows, p)) if rec.thetas is None else None
+    flushed = 0
 
     def states() -> np.ndarray:
         return _rowwise_matmul(z, back) + center
@@ -361,13 +376,24 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
     def record() -> None:
         # The guard has passed, so ||theta|| <= 1e12 and the loss is finite.
         nonlocal recorded, next_record
-        weighted = z * lam
-        rec.losses[recorded] = 0.5 * (z * weighted).sum(axis=1)
-        rec.grad_norms_sq[recorded] = (weighted * weighted).sum(axis=1)
-        if rec.thetas is not None:
-            rec.thetas[recorded] = states()
+        if held is None:
+            rec.thetas[recorded] = z
+        else:
+            held[recorded - flushed] = z
         recorded += 1
         next_record = min(recorded * rec.stride, steps)
+        if held is not None and recorded - flushed == chunk:
+            flush()
+
+    def flush() -> None:
+        nonlocal flushed
+        for first in range(flushed, recorded, chunk):
+            last = min(first + chunk, recorded)
+            zs = rec.thetas[first:last] if held is None else held[first - flushed : last - flushed]
+            weighted = zs * lam
+            rec.losses[first:last] = 0.5 * (zs * weighted).sum(axis=-1)
+            rec.grad_norms_sq[first:last] = (weighted * weighted).sum(axis=-1)
+        flushed = recorded
 
     def guard(step: int) -> None:
         sq = (states() ** 2).sum(axis=1)
@@ -408,8 +434,13 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
             if step == next_record:
                 record()
         done += b
+        flush()
     rec.counts[live] = recorded
     out.finals[:] = states()
+    if rec.thetas is not None:
+        for first in range(0, recorded, chunk):
+            zs = rec.thetas[first : min(first + chunk, recorded)]
+            zs[:] = _rowwise_matmul(zs, back) + center
 
 
 def sgd_run(

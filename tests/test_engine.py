@@ -475,7 +475,81 @@ def dense_quadratic(dim, seed):
     )
 
 
+def in_order_matmul(x, a):
+    # x @ a with each sum x_k a_kj accumulated strictly in index order.
+    return np.add.accumulate(x[..., :, None] * a, axis=-2)[..., -1, :]
+
+
+def reference_row(model, theta0, lr, m, seed, steps, stride):
+    """One lockstep row as a plain loop over steps.
+
+    Returns the records (step, loss, ||grad||^2, theta) up to the step the
+    guard stopped the row at, the last state, and that step (None if the
+    row reached the horizon).
+    """
+    lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
+    center = model.minimizer
+    gen = np.random.default_rng(seed)
+    noise = in_order_matmul(gen.standard_normal((steps, lam.size)), model.noise_sqrt.T @ vec)
+    noise *= lr / np.sqrt(m)
+    decay = 1.0 - lr * lam
+    z = in_order_matmul(theta0 - center, vec)
+    records = []
+    for k in range(steps + 1):
+        if k > 0:
+            z = z * decay - noise[k - 1]
+        theta = in_order_matmul(z, vec.T) + center
+        if not (theta * theta).sum() <= engine.DIVERGENCE_NORM_SQ:
+            return records, theta, k
+        if k % stride == 0 or k == steps:
+            weighted = z * lam
+            records.append((k, 0.5 * (z * weighted).sum(), (weighted * weighted).sum(), theta))
+    return records, theta, None
+
+
 class TestLockstepCore:
+    @pytest.mark.parametrize("shape", [(1, 512, 64), (64, 512, 2), (4, 33, 9)])
+    def test_rowwise_product_on_noise_tiles(self, shape):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(shape)
+        a = rng.standard_normal((shape[-1], shape[-1]))
+        full = _rowwise_matmul(x, a)
+        np.testing.assert_array_equal(full, in_order_matmul(x, a))
+        for i in range(shape[0]):
+            np.testing.assert_array_equal(_rowwise_matmul(x[i], a), full[i])
+
+    @pytest.mark.parametrize("dim", [3, 20])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rows_match_a_plain_loop_bitwise(self, dim, stride):
+        model = dense_quadratic(dim, 3)
+        top = model.hessian_eig.eigenvalues[-1]
+        theta0 = model.minimizer + 0.5
+        # Row 3 grows by a factor 1.25 per step and trips the guard mid-block.
+        lrs = np.array([0.1, 0.5, 1.0, 2.25, 0.05, 1.5]) / top
+        ms, seeds, steps = [1, 4, 2, 1, 8, 3], [21, 22, 23, 24, 25, 26], 700
+        refs = [reference_row(model, theta0, lrs[r], ms[r], seeds[r], steps, stride)
+                for r in range(6)]
+        assert [stop is None for _, _, stop in refs] == [True, True, True, False, True, True]
+        stop = refs[3][2]
+        for block, snapshots in ((13, False), (13, True), (512, False), (512, True)):
+            assert stop % block != 0
+            run = _advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=stride,
+                                snapshots=snapshots, block=block)
+            assert list(run.failures) == [3] and run.failures[3].step == stop
+            for r, (records, final, _) in enumerate(refs):
+                traj = run.trajectory(r)
+                np.testing.assert_array_equal(traj.steps, [k for k, _, _, _ in records])
+                np.testing.assert_array_equal(traj.losses, [v for _, v, _, _ in records])
+                np.testing.assert_array_equal(traj.grad_norms_sq, [g for _, _, g, _ in records])
+                if snapshots:
+                    np.testing.assert_array_equal(traj.thetas, [t for _, _, _, t in records])
+                else:
+                    assert traj.thetas is None
+                if r != 3:
+                    np.testing.assert_array_equal(run.finals[r], final)
+            np.testing.assert_array_equal(run.failures[3].trajectory.losses,
+                                          [v for _, v, _, _ in refs[3][0]])
+
     def test_rowwise_product_matches_blas_and_ignores_other_rows(self):
         rng = np.random.default_rng(3)
         for p, rows in ((2, 40), (9, 3), (17, 17), (64, 1)):
