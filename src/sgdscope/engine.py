@@ -7,9 +7,11 @@ partial trajectory) once the iterate norm passes 1e12 or a recorded loss
 stops being finite.
 
 The discrete SGD runs (``sgd_run``, ``gaussian_sgd_run``,
-``sgd_replica_ensemble`` and the experiments' replica runs) share one
-stepping core, ``_advance_rows``, which advances a ``(rows, p)`` state array
-with one learning rate, batch size and generator per row.
+``sgd_replica_ensemble`` and the experiments' replica runs) and the
+Euler-Maruyama integrator ``sde_run`` share one stepping core,
+``_advance_rows``, which advances a ``(rows, p)`` state array with one
+learning rate, time step, batch size and generator per row.  An SGD row's
+time step is its learning rate, an ``sde_run`` row's is ``dt``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import sqrt_spd
-from .problems import LossModel, QuadraticModel, as_param_vector, gradient_covariance
+from .problems import LossModel, QuadraticModel, as_param_vector
 
 __all__ = [
     "EngineError",
@@ -193,8 +195,8 @@ def _check_batch(model: LossModel, batch_size: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The stepping core behind sgd_run, gaussian_sgd_run, sgd_replica_ensemble
-# and the experiments' replica runs.
+# The stepping core behind sgd_run, gaussian_sgd_run, sde_run,
+# sgd_replica_ensemble and the experiments' replica runs.
 
 # Lockstep rows draw and transform their noise this many steps at a time.
 NOISE_BLOCK = 512
@@ -242,12 +244,12 @@ class _Rows:
     """
 
     records: _Records
-    learning_rates: np.ndarray
+    time_steps: np.ndarray
     failures: dict[int, DivergenceError]
     finals: np.ndarray
 
     def trajectory(self, row: int) -> Trajectory:
-        return self.records.trajectory(row, self.learning_rates[row])
+        return self.records.trajectory(row, self.time_steps[row])
 
     def raise_first_divergence(self) -> None:
         """Raise the divergence of the row that tripped first, if any did."""
@@ -263,13 +265,14 @@ def _advance_rows(
     seeds,
     steps: int,
     *,
+    time_steps=None,
     record_stride: int = 1,
     snapshots: bool = False,
     sampling: str = "with_replacement",
-    root: np.ndarray | None = None,
+    noise_factor=None,
     block: int = NOISE_BLOCK,
 ) -> _Rows:
-    """Advance one SGD row per (learning rate, batch size, seed) from ``theta0``.
+    """Advance one row per (learning rate, batch size, seed) from ``theta0``.
 
     Each row owns a generator made from its seed (anything
     ``numpy.random.default_rng`` accepts), records every ``record_stride``
@@ -277,67 +280,82 @@ def _advance_rows(
     exceeds 1e24 or is NaN; the other rows go on.  A row's result does not
     depend on which other rows share the call.
 
-    Quadratic models advance all rows together (see ``_lockstep``).  Other
-    models loop over rows with the model's own gradients: a minibatch of
-    ``batch_size`` indices per step drawn per ``sampling``, or, when
-    ``root`` is given, the full gradient plus the Gaussian surrogate
-    ``(lr / sqrt(m)) root @ xi``.
+    Row r steps with time step h = ``time_steps[r]`` (default: its learning
+    rate lr): its drift is -h grad f, and its Gaussian noise is scaled by
+    ``(h / sqrt(m)) sqrt(lr / h)``, the Euler-Maruyama step of the SGD
+    diffusion.  At h = lr that scale is ``lr / sqrt(m)`` bit for bit, as
+    ``lr / lr`` is exactly 1.  Quadratic models advance all rows together
+    (see ``_lockstep``).  Other models loop over rows with the model's own
+    gradients: a minibatch of ``batch_size`` indices per step drawn per
+    ``sampling``, or, when ``noise_factor`` is given, the full gradient plus
+    the surrogate noise ``xi F`` with ``F = noise_factor(theta)`` (see
+    ``_noise_factor``) and ``xi`` standard normal, one entry per row of F.
     """
     lrs = np.array(learning_rates, dtype=float)
+    hs = lrs if time_steps is None else np.array(time_steps, dtype=float)
     ms = np.array(batch_sizes, dtype=np.int64)
     _check_rows(lrs, ms, steps)
+    noise_scales = (hs / np.sqrt(ms)) * np.sqrt(lrs / hs)
     rows, p = lrs.size, model.param_dim
     rec = _Records(rows, steps, record_stride, p, snapshots)
-    out = _Rows(rec, lrs, {}, np.empty((rows, p)))
+    out = _Rows(rec, hs, {}, np.empty((rows, p)))
     if isinstance(model, QuadraticModel):
-        _lockstep(model, theta0, ms, seeds, steps, block, out)
+        _lockstep(model, theta0, noise_scales, seeds, steps, block, out)
         return out
     for r in range(rows):
+        cfg = SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling)
         try:
-            out.finals[r] = _loop_row(
-                model, rec, r, theta0, SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling), root
-            )
+            out.finals[r] = _loop_row(model, rec, r, theta0, cfg, hs[r], noise_scales[r], noise_factor)
         except DivergenceError as err:
             out.failures[r] = err
     return out
 
 
-def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg: SgdConfig, root):
+def _noise_factor(model: LossModel, theta: np.ndarray) -> np.ndarray:
+    """``n^{-1/2} G_c``: the centred per-example gradients at ``theta``.
+
+    With ``xi`` standard normal in R^n, ``xi F`` has covariance
+    ``F^T F = G_c^T G_c / n``, exactly the C(theta) that
+    ``gradient_covariance`` forms, at O(np) cost and with no factorization.
+    """
+    grads = model.per_example_grads(theta)
+    return (grads - grads.mean(axis=0)) / math.sqrt(grads.shape[0])
+
+
+def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg: SgdConfig,
+              h: float, scale: float, noise_factor):
     rng = np.random.default_rng(cfg.seed)
-    lr, m, steps = cfg.learning_rate, cfg.batch_size, cfg.steps
+    m, steps = cfg.batch_size, cfg.steps
     n = model.example_count
     stride = rec.stride
-    scale = lr / np.sqrt(m)
-    p = theta.size
-    _record_state(rec, row, model, 0, theta, lr)
+    _record_state(rec, row, model, 0, theta, h)
     for k in range(1, steps + 1):
-        if root is not None:
-            grad = model.full_grad(theta)
-            theta = theta - lr * grad + scale * (root @ rng.standard_normal(p))
+        if noise_factor is not None:
+            noise = rng.standard_normal(n) @ noise_factor(theta)
+            theta = theta - h * model.full_grad(theta) + scale * noise
         else:
             if cfg.sampling == "with_replacement":
                 idx = rng.integers(0, n, size=m)
             else:
                 idx = rng.choice(n, size=m, replace=False)
-            grad = model.batch_grad(theta, idx)
-            theta = theta - lr * grad
+            theta = theta - h * model.batch_grad(theta, idx)
         sq = theta @ theta
         if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.trajectory(row, lr), "iterate norm guard tripped")
+            raise DivergenceError(k, rec.trajectory(row, h), "iterate norm guard tripped")
         if k % stride == 0 or k == steps:
-            _record_state(rec, row, model, k, theta, lr)
+            _record_state(rec, row, model, k, theta, h)
     return theta
 
 
-def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, steps: int, block: int, out: _Rows) -> None:
+def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, steps: int, block: int, out: _Rows) -> None:
     """All rows of a synthesized-noise quadratic, advanced together.
 
     The minibatch gradient H (theta - theta*) + mean of m per-example noise
     draws takes one N(0, C/m) draw per step, xi R^T / sqrt(m) with R =
     ``model.noise_sqrt`` (the same law).  In H's eigenbasis, z =
-    (theta - theta*) V, the step is
-    z <- (1 - lr lam) z - (lr / sqrt(m)) xi R^T V: elementwise, once the
-    noise of a whole block of steps has been transformed.  Each row draws
+    (theta - theta*) V, a row with time step h and noise scale s (see
+    ``_advance_rows``) steps z <- (1 - h lam) z - s xi R^T V: elementwise,
+    once the noise of a whole block of steps has been transformed.  Each row draws
     its xi from its own generator a block at a time, and every operation
     acts on rows separately, so a row's result is independent of the other
     rows and of the block size.  A record only keeps z; flush() computes
@@ -347,16 +365,16 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
     record was computed on its own, so no output changes in any bit.
     """
     rec = out.records
-    lrs = out.learning_rates
+    hs = out.time_steps
     eig = model.hessian_eig
     lam, vec = eig.eigenvalues, eig.eigenvectors
     center = model.minimizer
-    rows, p = lrs.size, lam.size
+    rows, p = hs.size, lam.size
     gens = [np.random.default_rng(seed) for seed in seeds]
     z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), vec)
-    decay = 1.0 - lrs[:, None] * lam
+    decay = 1.0 - hs[:, None] * lam
     noise_map = model.noise_sqrt.T @ vec
-    noise_scale = (lrs / np.sqrt(batch_sizes))[:, None, None]
+    noise_scale = noise_scales[:, None, None]
     back = vec.T
     # max|z| at or below this keeps every ||theta|| within the guard.
     z_limit = (math.sqrt(DIVERGENCE_NORM_SQ) - float(np.linalg.norm(center))) / math.sqrt(p)
@@ -401,7 +419,7 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, batch_sizes, seeds, ste
         for r in np.flatnonzero(tripped):
             rec.counts[r] = recorded
             out.failures[r] = DivergenceError(
-                step, rec.trajectory(r, lrs[r]), "iterate norm guard tripped"
+                step, rec.trajectory(r, hs[r]), "iterate norm guard tripped"
             )
         live[tripped] = False
         z[tripped] = 0.0
@@ -475,28 +493,30 @@ def gaussian_sgd_run(
     cfg: SgdConfig,
     *,
     ref_point=None,
-    cov_sample_count: int = 20000,
     record_stride: int = 1,
     snapshots: bool = False,
 ) -> Trajectory:
     """SGD with the minibatch noise replaced by its Gaussian surrogate.
 
-    Updates theta <- theta - lr * grad + (lr / sqrt(m)) * R xi with
-    R R^T equal to the per-example gradient covariance.  For a quadratic
-    the covariance is the model's exact one and its root ``noise_sqrt``;
-    the surrogate is then exactly the law ``sgd_run`` draws, and both run
-    on the same lockstep core (same seed, same trajectory).  Otherwise the
-    covariance is estimated once at ``ref_point`` (default: the start point)
-    and frozen for the run.
+    Updates theta <- theta - lr * grad + (lr / sqrt(m)) * noise, with noise
+    of covariance C, the per-example gradient covariance.  For a quadratic
+    C is the model's exact covariance, drawn through its root
+    ``noise_sqrt``; the surrogate is then exactly the law ``sgd_run``
+    draws, and both run on the same lockstep core (same seed, same
+    trajectory).  On finite data the noise is ``n^{-1/2} xi G_c`` with
+    ``xi`` standard normal in R^n and ``G_c`` the centred per-example
+    gradients at ``ref_point`` (default: the start point), frozen for the
+    run.
     """
     theta = as_param_vector(theta0, model.param_dim)
-    root = None
+    factor = None
     if not isinstance(model, QuadraticModel):
         reference = theta if ref_point is None else as_param_vector(ref_point, model.param_dim)
-        root = sqrt_spd(gradient_covariance(model, reference, cov_sample_count))
+        frozen = _noise_factor(model, reference)
+        factor = lambda _theta: frozen
     run = _advance_rows(
         model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
-        record_stride=record_stride, snapshots=snapshots, root=root,
+        record_stride=record_stride, snapshots=snapshots, noise_factor=factor,
     )
     run.raise_first_divergence()
     return run.trajectory(0)
@@ -507,7 +527,10 @@ def _step_count(t_end: float, dt: float) -> int:
         raise EngineError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= 0):
         raise EngineError("t_end must be nonnegative and finite")
-    return int(round(t_end / dt))
+    steps = int(round(t_end / dt))
+    if steps < 1:
+        raise EngineError("t_end must cover at least one dt step")
+    return steps
 
 
 def sde_run(
@@ -521,48 +544,31 @@ def sde_run(
     *,
     record_stride: int = 1,
     snapshots: bool = False,
-    cov_sample_count: int = 20000,
 ) -> Trajectory:
     """Euler-Maruyama discretization of the SGD diffusion approximation:
 
         dX = -grad f(X) dt + sqrt(lr / m) * sigma(X) dW,
 
-    with sigma(X) the PSD square root of the per-example gradient
-    covariance.  A quadratic's constant covariance uses the model's root
-    ``noise_sqrt``; finite-data models refresh sigma(X) at every step.  Requires dt <= learning_rate
-    (the diffusion has no business resolving scales finer than one SGD
-    step).
+    with sigma(X) sigma(X)^T = C(X), the per-example gradient covariance,
+    run as one row of the stepping core with time step dt.  A quadratic's
+    constant C is drawn through the model's root ``noise_sqrt``; finite-data
+    models draw sigma(X) dW from the centred per-example gradients at the
+    current X, as ``gaussian_sgd_run`` does at its reference point.  At
+    ``dt = lr`` this is ``gaussian_sgd_run`` with C refreshed every step,
+    and on a quadratic the same run bit for bit.  Requires dt <=
+    learning_rate (the diffusion has no business resolving scales finer
+    than one SGD step).
     """
     theta = as_param_vector(theta0, model.param_dim)
-    if not (np.isfinite(learning_rate) and learning_rate > 0):
-        raise EngineError("learning_rate must be positive and finite")
-    if batch_size < 1:
-        raise EngineError("batch_size must be at least 1")
+    steps = _step_count(t_end, dt)
     if dt > learning_rate:
         raise EngineError(f"dt={dt} must not exceed learning_rate={learning_rate}")
-    steps = _step_count(t_end, dt)
-    if steps < 1:
-        raise EngineError("t_end must cover at least one dt step")
-    frozen_root = model.noise_sqrt if isinstance(model, QuadraticModel) else None
-    rng = np.random.default_rng(seed)
-    amp = np.sqrt(learning_rate / batch_size)
-    sqrt_dt = np.sqrt(dt)
-    p = theta.size
-    rec = _Records(1, steps, record_stride, p, snapshots)
-    _record_state(rec, 0, model, 0, theta, dt)
-    for k in range(1, steps + 1):
-        if frozen_root is None:
-            root = sqrt_spd(gradient_covariance(model, theta, cov_sample_count))
-        else:
-            root = frozen_root
-        grad = model.full_grad(theta)
-        theta = theta - grad * dt + (amp * sqrt_dt) * (root @ rng.standard_normal(p))
-        sq = theta @ theta
-        if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.trajectory(0, dt), "iterate norm guard tripped")
-        if k % record_stride == 0 or k == steps:
-            _record_state(rec, 0, model, k, theta, dt)
-    return rec.trajectory(0, dt)
+    run = _advance_rows(
+        model, theta, [learning_rate], [batch_size], [seed], steps, time_steps=[dt],
+        record_stride=record_stride, snapshots=snapshots, noise_factor=partial(_noise_factor, model),
+    )
+    run.raise_first_divergence()
+    return run.trajectory(0)
 
 
 def gradient_flow(
@@ -581,8 +587,6 @@ def gradient_flow(
     """
     theta = as_param_vector(theta0, model.param_dim)
     steps = _step_count(t_end, dt)
-    if steps < 1:
-        raise EngineError("t_end must cover at least one dt step")
     rec = _Records(1, steps, record_stride, theta.size, snapshots)
     _record_state(rec, 0, model, 0, theta, dt)
     half = 0.5 * dt
@@ -625,8 +629,6 @@ def ou_eigenbasis_run(
     if batch_size < 1:
         raise EngineError("batch_size must be at least 1")
     steps = _step_count(t_end, dt)
-    if steps < 1:
-        raise EngineError("t_end must cover at least one dt step")
     z = np.zeros(lam.size) if z0 is None else as_param_vector(z0, lam.size)
     rng = np.random.default_rng(seed)
     decay = np.exp(-lam * dt)
@@ -653,15 +655,12 @@ def sgd_replica_ensemble(
     steps: int,
     replicas: int,
     master_seed: int,
-    *,
-    block: int = NOISE_BLOCK,
 ) -> np.ndarray:
     """Final states of `replicas` independent SGD runs, advanced in lockstep.
 
     Only synthesized-noise quadratic dynamics support this vectorized form.
     Each replica owns a child stream spawned from the master seed and draws
-    its noise in step order, ``block`` steps at a time, so the ensemble is
-    reproducible and independent of the block size.  The per-step
+    its noise in step order, so the ensemble is reproducible.  The per-step
     minibatch noise is a single N(0, C/m) variate, exactly the law of a
     mean of ``batch_size`` per-example draws.
     """
@@ -673,7 +672,7 @@ def sgd_replica_ensemble(
     run = _advance_rows(
         model, theta_start, np.full(replicas, learning_rate), np.full(replicas, batch_size),
         np.random.SeedSequence(master_seed).spawn(replicas), steps,
-        record_stride=steps, block=block,
+        record_stride=steps,
     )
     if run.failures:
         row, err = min(run.failures.items(), key=lambda item: item[1].step)

@@ -129,6 +129,17 @@ def grad_cov_trace(model: LossModel, theta, sample_count: int, seed: int = 0) ->
     return float((centered * centered).sum() / grads.shape[0])
 
 
+def _dense_traces(model: LossModel, theta, sample_count: int, seed: int) -> tuple[float, float, float]:
+    """Exact tr(H), tr(C) and tr(C H) from the assembled curvature matrix and
+    the exact covariance when the model knows it (otherwise the empirical
+    one from ``sample_count`` draws seeded by ``seed``)."""
+    hess = hessian_dense(model, theta)
+    cov = model.exact_gradient_covariance()
+    if cov is None:
+        cov = gradient_covariance(model, theta, sample_count, seed)
+    return trace(hess), trace(cov), float(np.trace(cov.entries @ hess.entries))
+
+
 def trace_sigma2_h(
     model: LossModel,
     theta,
@@ -150,27 +161,15 @@ def trace_sigma2_h(
         raise EstimatorError("probe_count must be at least 2")
     theta = as_param_vector(theta, model.param_dim)
     if model.param_dim <= dense_limit:
-        cov = model.exact_gradient_covariance()
-        if cov is None:
-            cov = gradient_covariance(model, theta, sample_count, seed)
-        hess = hessian_dense(model, theta)
-        return float(np.trace(cov.entries @ hess.entries))
+        return _dense_traces(model, theta, sample_count, seed)[2]
     mean_grad = model.full_grad(theta)
-    if model.example_count is not None:
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(0, model.example_count, size=probe_count)
-        quads = np.empty(probe_count)
-        for i, j in enumerate(picks):
-            v = model.per_example_grad(theta, int(j)) - mean_grad
-            quads[i] = v @ model.hvp(theta, v)
-        return float(quads.mean())
     rng = np.random.default_rng(seed)
-    draws = model.synthesized_grad_draws(theta, probe_count, rng)
-    quads = np.empty(probe_count)
-    for i in range(probe_count):
-        v = draws[i] - mean_grad
-        quads[i] = v @ model.hvp(theta, v)
-    return float(quads.mean())
+    if model.example_count is not None:
+        picks = rng.integers(0, model.example_count, size=probe_count)
+        deviations = (model.per_example_grad(theta, int(j)) - mean_grad for j in picks)
+    else:
+        deviations = model.synthesized_grad_draws(theta, probe_count, rng) - mean_grad
+    return float(np.mean([v @ model.hvp(theta, v) for v in deviations]))
 
 
 def stationary_stats(traj: Trajectory, burn_in_fraction: float = 0.5) -> StationaryStats:
@@ -269,13 +268,7 @@ def model_report(
     """
     theta = as_param_vector(theta, model.param_dim)
     if model.param_dim <= DENSE_GUARD:
-        hess = hessian_dense(model, theta)
-        cov = model.exact_gradient_covariance()
-        if cov is None:
-            cov = gradient_covariance(model, theta, sample_count, seed)
-        tr_h = trace(hess)
-        tr_sigma2 = trace(cov)
-        tr_mixed = float(np.trace(cov.entries @ hess.entries))
+        tr_h, tr_sigma2, tr_mixed = _dense_traces(model, theta, sample_count, seed)
     else:
         tr_h, _ = hutchinson_trace(model, theta, probe_count, seed)
         tr_sigma2 = grad_cov_trace(model, theta, sample_count, seed)

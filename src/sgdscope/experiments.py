@@ -23,16 +23,9 @@ from .engine import (
     sgd_replica_ensemble,
     sgd_run,
 )
-from .estimators import prediction_report, stationary_stats
-from .linalg import SymMatrix, trace
-from .problems import (
-    DENSE_GUARD,
-    LossModel,
-    QuadraticModel,
-    as_param_vector,
-    gradient_covariance,
-    hessian_dense,
-)
+from .estimators import _dense_traces, prediction_report, stationary_stats
+from .linalg import SymMatrix
+from .problems import DENSE_GUARD, LossModel, QuadraticModel, as_param_vector
 
 __all__ = [
     "ExperimentError",
@@ -158,14 +151,7 @@ def _traces_at(model: LossModel, theta: np.ndarray):
         raise ExperimentError(
             f"scan needs dense traces; param_dim {model.param_dim} exceeds {DENSE_GUARD}"
         )
-    hess = hessian_dense(model, theta)
-    cov = model.exact_gradient_covariance()
-    if cov is None:
-        cov = gradient_covariance(model, theta, 10_000)
-    tr_h = trace(hess)
-    tr_sigma2 = trace(cov)
-    tr_mixed = float(np.trace(cov.entries @ hess.entries))
-    return tr_h, tr_sigma2, tr_mixed
+    return _dense_traces(model, theta, 10_000, 0)
 
 
 def scan_bs_lr(

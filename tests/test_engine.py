@@ -22,7 +22,13 @@ from sgdscope.engine import (
 )
 from sgdscope.engine import _advance_rows, _rowwise_matmul
 from sgdscope.experiments import clt_experiment
-from sgdscope.problems import QuadraticModel, generate_blobs, make_logistic, make_quadratic
+from sgdscope.problems import (
+    QuadraticModel,
+    generate_blobs,
+    gradient_covariance,
+    make_logistic,
+    make_quadratic,
+)
 
 from _oracles import lyapunov_kron_oracle, random_spd
 
@@ -55,6 +61,16 @@ def small_logistic():
         example_count=40, feature_dim=3, class_count=2, seed=11
     )
     return make_logistic(features, labels, l2_penalty=1e-3)
+
+
+def one_step_increments(run, count):
+    # theta_1 - theta_0 of `count` one-step runs, run(seed) for seeds 0..count-1.
+    return np.array([np.diff(run(seed).thetas, axis=0)[0] for seed in range(count)])
+
+
+def relative_cov_error(increments, expected):
+    sample = np.cov(increments, rowvar=False, ddof=1)
+    return np.linalg.norm(sample - expected) / np.linalg.norm(expected)
 
 
 class TestSgdConfig:
@@ -224,6 +240,23 @@ class TestGaussianSgdRun:
         with pytest.raises(DivergenceError):
             gaussian_sgd_run(model, [1.0], cfg)
 
+    def test_finite_data_noise_has_the_covariance_at_the_reference_point(self):
+        # One step from theta0 moves by -lr grad f(theta0) plus noise of
+        # covariance (lr^2 / m) C(ref_point), the covariance frozen there.
+        model = small_logistic()
+        lr, m = 0.2, 4
+        theta0 = np.array([0.3, -0.2, 0.1])
+        reference = np.array([1.5, -1.0, 0.8])
+        increments = one_step_increments(
+            lambda seed: gaussian_sgd_run(model, theta0, SgdConfig(lr, m, 1, seed),
+                                          ref_point=reference, snapshots=True),
+            4000,
+        )
+        at_reference = (lr**2 / m) * gradient_covariance(model, reference, 10).entries
+        at_start = (lr**2 / m) * gradient_covariance(model, theta0, 10).entries
+        assert relative_cov_error(increments, at_reference) < 0.10
+        assert relative_cov_error(increments, at_start) > 0.25
+
 
 class TestSdeRun:
     def test_rejects_dt_above_learning_rate(self):
@@ -249,6 +282,62 @@ class TestSdeRun:
             for _ in range(2)
         ]
         np.testing.assert_array_equal(runs[0].losses, runs[1].losses)
+
+    def test_dt_equal_to_lr_is_gaussian_sgd_run_bitwise(self):
+        model = dense_quadratic(5, 7)
+        lr, m, steps, seed = 0.05, 3, 400, 19
+        theta0 = model.minimizer + 0.4
+        sde = sde_run(model, theta0, lr, m, t_end=steps * lr, dt=lr, seed=seed,
+                      record_stride=9, snapshots=True)
+        gauss = gaussian_sgd_run(model, theta0, SgdConfig(lr, m, steps, seed),
+                                 record_stride=9, snapshots=True)
+        assert sde.steps[-1] == steps
+        for column in ("steps", "times", "losses", "grad_norms_sq", "thetas"):
+            np.testing.assert_array_equal(getattr(sde, column), getattr(gauss, column))
+
+    def test_finite_data_run_is_reproducible(self):
+        model = small_logistic()
+        theta0 = np.zeros(model.param_dim)
+
+        def run(seed):
+            return sde_run(model, theta0, 0.2, 4, t_end=2.0, dt=0.05, seed=seed,
+                           record_stride=4, snapshots=True)
+
+        first, second, other = run(3), run(3), run(4)
+        np.testing.assert_array_equal(first.steps, np.append(np.arange(0, 40, 4), 40))
+        np.testing.assert_array_equal(first.times, first.steps * 0.05)
+        np.testing.assert_array_equal(first.losses, second.losses)
+        np.testing.assert_array_equal(first.thetas, second.thetas)
+        assert not np.array_equal(first.thetas, other.thetas)
+        assert first.losses[-1] < first.losses[0]
+
+    def test_finite_data_increments_have_the_diffusion_covariance(self):
+        # One Euler-Maruyama step moves by -dt grad f(theta0) plus noise of
+        # covariance (lr / m) dt C(theta0).
+        model = small_logistic()
+        lr, m, dt = 0.2, 4, 0.05
+        theta0 = np.array([0.3, -0.2, 0.1])
+        increments = one_step_increments(
+            lambda seed: sde_run(model, theta0, lr, m, t_end=dt, dt=dt, seed=seed, snapshots=True),
+            4000,
+        )
+        expected = (lr / m) * dt * gradient_covariance(model, theta0, 10).entries
+        assert relative_cov_error(increments, expected) < 0.10
+        stderr = np.sqrt(np.diag(expected) / len(increments))
+        drift = -dt * model.full_grad(theta0)
+        assert (np.abs(increments.mean(axis=0) - drift) < 5.0 * stderr).all()
+
+    def test_divergence_carries_partial_run_in_time_units(self):
+        model = quadratic([1.0], 0.1)
+        dt = 2.5
+        with pytest.raises(DivergenceError, match="divergence at step") as info:
+            sde_run(model, [1.0], 3.0, 1, t_end=500 * dt, dt=dt, seed=0, record_stride=5)
+        err = info.value
+        traj = err.trajectory
+        assert 0 < err.step < 500
+        assert traj.steps[-1] < err.step
+        np.testing.assert_array_equal(traj.times, traj.steps * dt)
+        assert traj.losses[0] == 0.5
 
     def test_zero_noise_tracks_flow(self):
         # Drift integration is first order, so the error budget is O(dt).
@@ -383,9 +472,11 @@ class TestReplicaEnsemble:
             theta0=[1.0, -1.0], learning_rate=0.05, batch_size=2,
             steps=333, replicas=17, master_seed=5,
         )
-        a = sgd_replica_ensemble(model, block=512, **kwargs)
-        b = sgd_replica_ensemble(model, block=7, **kwargs)
-        np.testing.assert_array_equal(a, b)
+        finals = sgd_replica_ensemble(model, **kwargs)
+        seeds = np.random.SeedSequence(5).spawn(17)
+        run = _advance_rows(model, np.array([1.0, -1.0]), [0.05] * 17, [2] * 17, seeds, 333,
+                            record_stride=333, block=7)
+        np.testing.assert_array_equal(finals, run.finals)
 
     def test_requires_synthesized_quadratic(self):
         with pytest.raises(EngineError, match="quadratic"):
