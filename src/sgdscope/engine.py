@@ -269,7 +269,7 @@ def _advance_rows(
     record_stride: int = 1,
     snapshots: bool = False,
     sampling: str = "with_replacement",
-    noise_factor=None,
+    surrogate=None,
     block: int = NOISE_BLOCK,
 ) -> _Rows:
     """Advance one row per (learning rate, batch size, seed) from ``theta0``.
@@ -287,9 +287,9 @@ def _advance_rows(
     ``lr / lr`` is exactly 1.  Quadratic models advance all rows together
     (see ``_lockstep``).  Other models loop over rows with the model's own
     gradients: a minibatch of ``batch_size`` indices per step drawn per
-    ``sampling``, or, when ``noise_factor`` is given, the full gradient plus
-    the surrogate noise ``xi F`` with ``F = noise_factor(theta)`` (see
-    ``_noise_factor``) and ``xi`` standard normal, one entry per row of F.
+    ``sampling``, or, when ``surrogate`` is given, the drift gradient g plus
+    the surrogate noise ``xi F`` with ``(g, F) = surrogate(theta)`` (see
+    ``_surrogate_terms``) and ``xi`` standard normal, one entry per row of F.
     """
     lrs = np.array(learning_rates, dtype=float)
     hs = lrs if time_steps is None else np.array(time_steps, dtype=float)
@@ -305,34 +305,35 @@ def _advance_rows(
     for r in range(rows):
         cfg = SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling)
         try:
-            out.finals[r] = _loop_row(model, rec, r, theta0, cfg, hs[r], noise_scales[r], noise_factor)
+            out.finals[r] = _loop_row(model, rec, r, theta0, cfg, hs[r], noise_scales[r], surrogate)
         except DivergenceError as err:
             out.failures[r] = err
     return out
 
 
-def _noise_factor(model: LossModel, theta: np.ndarray) -> np.ndarray:
-    """``n^{-1/2} G_c``: the centred per-example gradients at ``theta``.
+def _surrogate_terms(model: LossModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean g and centred rows ``F = n^{-1/2} G_c`` of the per-example gradients.
 
-    With ``xi`` standard normal in R^n, ``xi F`` has covariance
-    ``F^T F = G_c^T G_c / n``, exactly the C(theta) that
-    ``gradient_covariance`` forms, at O(np) cost and with no factorization.
+    g is the full gradient up to rounding; ``xi F``, with ``xi`` standard
+    normal in R^n, has covariance ``G_c^T G_c / n``, exactly the C(theta)
+    that ``gradient_covariance`` forms, at O(np) cost.
     """
     grads = model.per_example_grads(theta)
-    return (grads - grads.mean(axis=0)) / math.sqrt(grads.shape[0])
+    mean = grads.mean(axis=0)
+    return mean, (grads - mean) / math.sqrt(grads.shape[0])
 
 
 def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg: SgdConfig,
-              h: float, scale: float, noise_factor):
+              h: float, scale: float, surrogate):
     rng = np.random.default_rng(cfg.seed)
     m, steps = cfg.batch_size, cfg.steps
     n = model.example_count
     stride = rec.stride
     _record_state(rec, row, model, 0, theta, h)
     for k in range(1, steps + 1):
-        if noise_factor is not None:
-            noise = rng.standard_normal(n) @ noise_factor(theta)
-            theta = theta - h * model.full_grad(theta) + scale * noise
+        if surrogate is not None:
+            grad, factor = surrogate(theta)
+            theta = theta - h * grad + scale * (rng.standard_normal(n) @ factor)
         else:
             if cfg.sampling == "with_replacement":
                 idx = rng.integers(0, n, size=m)
@@ -347,22 +348,34 @@ def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg:
     return theta
 
 
+def _put_records(rec: _Records, first: int, zs: np.ndarray, lam: np.ndarray, back: np.ndarray,
+                 center: np.ndarray) -> None:
+    """Records ``first, ...`` of every row from eigenbasis states ``zs``, which it overwrites."""
+    last = first + len(zs)
+    if rec.thetas is not None:
+        rec.thetas[first:last] = _rowwise_matmul(zs, back) + center
+    weighted = zs * lam
+    rec.losses[first:last] = 0.5 * np.multiply(zs, weighted, out=zs).sum(axis=-1)
+    rec.grad_norms_sq[first:last] = np.multiply(weighted, weighted, out=weighted).sum(axis=-1)
+
+
 def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, steps: int, block: int, out: _Rows) -> None:
     """All rows of a synthesized-noise quadratic, advanced together.
 
     The minibatch gradient H (theta - theta*) + mean of m per-example noise
     draws takes one N(0, C/m) draw per step, xi R^T / sqrt(m) with R =
-    ``model.noise_sqrt`` (the same law).  In H's eigenbasis, z =
-    (theta - theta*) V, a row with time step h and noise scale s (see
-    ``_advance_rows``) steps z <- (1 - h lam) z - s xi R^T V: elementwise,
-    once the noise of a whole block of steps has been transformed.  Each row draws
-    its xi from its own generator a block at a time, and every operation
-    acts on rows separately, so a row's result is independent of the other
-    rows and of the block size.  A record only keeps z; flush() computes
-    the losses and gradient norms of many records in one pass, and
-    snapshots become theta = z V^T + theta* once, at the end.  Each entry
-    still undergoes the same operations in the same order as when every
-    record was computed on its own, so no output changes in any bit.
+    ``model.noise_sqrt``.  In H's eigenbasis, z = (theta - theta*) V, a row
+    with time step h and noise scale s (see ``_advance_rows``) steps
+    z <- (1 - h lam) z - s xi R^T V.  Each block of steps runs in three
+    stages: the recurrence overwrites the block's transformed noise with the
+    states; the guard takes each row's largest |z| over the block and checks
+    ||theta||^2 <= 1e24 only where that passes ``z_limit``, stopping the row
+    at its first failing step (its states from there on are zeroed); then
+    the records of the block's grid steps, snapshots theta = z V^T + theta*
+    included, are computed in batches.  Every operation acts on rows
+    separately and each entry undergoes the same operations in the same
+    order as in a plain step loop, so a row's bits depend neither on the
+    other rows nor on the block size.
     """
     rec = out.records
     hs = out.time_steps
@@ -370,6 +383,7 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, st
     lam, vec = eig.eigenvalues, eig.eigenvectors
     center = model.minimizer
     rows, p = hs.size, lam.size
+    grid = rec.steps
     gens = [np.random.default_rng(seed) for seed in seeds]
     z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), vec)
     decay = 1.0 - hs[:, None] * lam
@@ -380,60 +394,18 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, st
     z_limit = (math.sqrt(DIVERGENCE_NORM_SQ) - float(np.linalg.norm(center))) / math.sqrt(p)
     scratch = np.empty_like(z)
     live = np.ones(rows, dtype=bool)
-    recorded = 0
-    next_record = 0
-    # Records keep z in the snapshot buffer, or else in ``held``, until
-    # flush(); both passes work on ``chunk`` records at a time.
-    chunk = max(1, min(len(rec.steps), _TILE_ENTRIES // (rows * p)))
-    held = np.empty((chunk, rows, p)) if rec.thetas is None else None
-    flushed = 0
-
-    def states() -> np.ndarray:
-        return _rowwise_matmul(z, back) + center
-
-    def record() -> None:
-        # The guard has passed, so ||theta|| <= 1e12 and the loss is finite.
-        nonlocal recorded, next_record
-        if held is None:
-            rec.thetas[recorded] = z
-        else:
-            held[recorded - flushed] = z
-        recorded += 1
-        next_record = min(recorded * rec.stride, steps)
-        if held is not None and recorded - flushed == chunk:
-            flush()
-
-    def flush() -> None:
-        nonlocal flushed
-        for first in range(flushed, recorded, chunk):
-            last = min(first + chunk, recorded)
-            zs = rec.thetas[first:last] if held is None else held[first - flushed : last - flushed]
-            weighted = zs * lam
-            rec.losses[first:last] = 0.5 * (zs * weighted).sum(axis=-1)
-            rec.grad_norms_sq[first:last] = (weighted * weighted).sum(axis=-1)
-        flushed = recorded
-
-    def guard(step: int) -> None:
-        sq = (states() ** 2).sum(axis=1)
-        tripped = live & ~(sq <= DIVERGENCE_NORM_SQ)
-        for r in np.flatnonzero(tripped):
-            rec.counts[r] = recorded
-            out.failures[r] = DivergenceError(
-                step, rec.trajectory(r, hs[r]), "iterate norm guard tripped"
-            )
-        live[tripped] = False
-        z[tripped] = 0.0
-        decay[tripped] = 0.0
-
-    record()
+    # Records are gathered and computed ``chunk`` at a time.
+    chunk = max(1, _TILE_ENTRIES // (rows * p))
+    _put_records(rec, 0, z[None].copy(), lam, back, center)
+    recorded = 1
     # One block of noise, reused: drawn and transformed a tile of rows at a
     # time, then stored step-major so that each step reads one contiguous
-    # (rows, p) slice.
+    # (rows, p) slice, which the recurrence overwrites with that step's z.
     buffer = np.empty((min(block, steps), rows, p))
     done = 0
     while done < steps and live.any():
         b = min(block, steps - done)
-        noise = buffer[:b]
+        states = buffer[:b]
         tile_rows = max(1, _TILE_ENTRIES // (b * p))
         for s in range(0, rows, tile_rows):
             tile = np.zeros((min(tile_rows, rows - s), b, p))
@@ -442,23 +414,41 @@ def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, st
                     gens[r].standard_normal((b, p), out=tile[i])
             tile = _rowwise_matmul(tile, noise_map)
             tile *= noise_scale[s : s + len(tile)]
-            noise[:, s : s + len(tile)] = tile.swapaxes(0, 1)
-        for j in range(b):
-            z *= decay
-            z -= noise[j]
-            step = done + j + 1
-            if not np.abs(z, out=scratch).max() <= z_limit:
-                guard(step)
-            if step == next_record:
-                record()
+            states[:, s : s + len(tile)] = tile.swapaxes(0, 1)
+        # A diverging row overflows before the guard sees it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            prev = z
+            for state in states:
+                np.multiply(prev, decay, out=scratch)
+                np.subtract(scratch, state, out=state)
+                prev = state
+            # Largest |z| per row: reduce over steps first, along contiguous
+            # memory, and only then over the few coordinates.
+            flat = states.reshape(b, rows * p)
+            peak = np.maximum(flat.max(axis=0), -flat.min(axis=0)).reshape(rows, p).max(axis=1)
+            for r in np.flatnonzero(live & ~(peak <= z_limit)):
+                zr = states[:, r]
+                flagged = np.flatnonzero(~(np.abs(zr).max(axis=1) <= z_limit))
+                sq = ((_rowwise_matmul(zr[flagged], back) + center) ** 2).sum(axis=-1)
+                tripped = flagged[~(sq <= DIVERGENCE_NORM_SQ)]
+                if tripped.size:
+                    j = int(tripped[0])
+                    rec.counts[r] = np.searchsorted(grid, done + j + 1)
+                    out.failures[r] = DivergenceError(
+                        done + j + 1, rec.trajectory(r, hs[r]), "iterate norm guard tripped"
+                    )
+                    zr[j:] = 0.0
+                    live[r] = False
+                    decay[r] = 0.0
+        z[:] = states[-1]
+        last = int(np.searchsorted(grid, done + b, side="right"))
+        at = grid[recorded:last] - (done + 1)
+        for first in range(0, len(at), chunk):
+            _put_records(rec, recorded + first, states[at[first : first + chunk]], lam, back, center)
+        recorded = last
         done += b
-        flush()
     rec.counts[live] = recorded
-    out.finals[:] = states()
-    if rec.thetas is not None:
-        for first in range(0, recorded, chunk):
-            zs = rec.thetas[first : min(first + chunk, recorded)]
-            zs[:] = _rowwise_matmul(zs, back) + center
+    out.finals[:] = _rowwise_matmul(z, back) + center
 
 
 def sgd_run(
@@ -509,14 +499,14 @@ def gaussian_sgd_run(
     run.
     """
     theta = as_param_vector(theta0, model.param_dim)
-    factor = None
+    surrogate = None
     if not isinstance(model, QuadraticModel):
         reference = theta if ref_point is None else as_param_vector(ref_point, model.param_dim)
-        frozen = _noise_factor(model, reference)
-        factor = lambda _theta: frozen
+        _, frozen = _surrogate_terms(model, reference)
+        surrogate = lambda at: (model.full_grad(at), frozen)
     run = _advance_rows(
         model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
-        record_stride=record_stride, snapshots=snapshots, noise_factor=factor,
+        record_stride=record_stride, snapshots=snapshots, surrogate=surrogate,
     )
     run.raise_first_divergence()
     return run.trajectory(0)
@@ -565,7 +555,7 @@ def sde_run(
         raise EngineError(f"dt={dt} must not exceed learning_rate={learning_rate}")
     run = _advance_rows(
         model, theta, [learning_rate], [batch_size], [seed], steps, time_steps=[dt],
-        record_stride=record_stride, snapshots=snapshots, noise_factor=partial(_noise_factor, model),
+        record_stride=record_stride, snapshots=snapshots, surrogate=partial(_surrogate_terms, model),
     )
     run.raise_first_divergence()
     return run.trajectory(0)

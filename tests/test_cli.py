@@ -308,3 +308,24 @@ class TestCommands:
         out = tmp_path / "run"
         self.run_ok(["--config", cfg_path, "--out_dir", str(out), "--master_seed", "0"], capsys)
         assert (out / "gamma.csv").exists()
+
+    def test_config_resolved_does_not_depend_on_the_working_directory(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # The same config and inputs in two checkouts at different depths,
+        # each run from its own root.
+        echoes = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            nested = root / "configs"
+            nested.mkdir(parents=True)
+            write_matrix_csv(nested / "h.csv", SymMatrix(np.diag([1.0, 2.0])))
+            write_matrix_csv(nested / "c.csv", SymMatrix(np.diag([0.1, 0.1])))
+            write_config(nested / "run.cfg",
+                         "command = lyapunov\nhessian_file = h.csv\nnoise_file = c.csv\n")
+            monkeypatch.chdir(root)
+            self.run_ok(["--config", "configs/run.cfg", "--out_dir", "out", "--master_seed", "0"],
+                        capsys)
+            assert (root / "out" / "gamma.csv").exists()
+            echoes.append((root / "out" / "config.resolved").read_bytes())
+        assert echoes[0] == echoes[1]
+        assert b"hessian_file = h.csv\n" in echoes[0]
+        assert b"noise_file = c.csv\n" in echoes[0]

@@ -1,6 +1,7 @@
 """Dynamics engines: discrete runs, integrators, and the deviation process."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sgdscope.engine import (
 )
 from sgdscope.engine import _advance_rows, _rowwise_matmul
 from sgdscope.experiments import clt_experiment
+from sgdscope.linalg import SymMatrix
 from sgdscope.problems import (
     QuadraticModel,
     generate_blobs,
@@ -30,7 +32,7 @@ from sgdscope.problems import (
     make_quadratic,
 )
 
-from _oracles import lyapunov_kron_oracle, random_spd
+from _oracles import lyapunov_kron_oracle, random_spd, random_symmetric
 
 
 def quadratic(diag, noise_scale):
@@ -640,6 +642,81 @@ class TestLockstepCore:
                     np.testing.assert_array_equal(run.finals[r], final)
             np.testing.assert_array_equal(run.failures[3].trajectory.losses,
                                           [v for _, v, _, _ in refs[3][0]])
+
+    def assert_row_matches(self, traj, records):
+        np.testing.assert_array_equal(traj.steps, [k for k, _, _, _ in records])
+        np.testing.assert_array_equal(traj.losses, [v for _, v, _, _ in records])
+        np.testing.assert_array_equal(traj.grad_norms_sq, [g for _, _, g, _ in records])
+        if traj.thetas is not None:
+            np.testing.assert_array_equal(traj.thetas, [t for _, _, _, t in records])
+
+    def test_overflowing_row_stops_silently_and_leaves_the_others_alone(self):
+        model = dense_quadratic(3, 3)
+        top = model.hessian_eig.eigenvalues[-1]
+        theta0 = model.minimizer + 0.5
+        # Row 1 has |decay| about 1e6 along the top mode: it passes the
+        # guard within a few steps and overflows to inf before its block ends.
+        lrs = np.array([0.1, 1e6, 0.5]) / top
+        ms, seeds, steps = [1, 2, 4], [31, 32, 33], 700
+        records, _, stop = reference_row(model, theta0, lrs[1], ms[1], seeds[1], steps, 1)
+        assert stop is not None and stop < 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = _advance_rows(model, theta0, lrs, ms, seeds, steps, snapshots=True)
+        assert list(run.failures) == [1] and run.failures[1].step == stop
+        self.assert_row_matches(run.trajectory(1), records)
+        self.assert_row_matches(run.failures[1].trajectory, records)
+        for r in (0, 2):
+            alone = _advance_rows(model, theta0, [lrs[r]], [ms[r]], [seeds[r]], steps,
+                                  snapshots=True)
+            a, b = run.trajectory(r), alone.trajectory(0)
+            for column in ("steps", "losses", "grad_norms_sq", "thetas"):
+                np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+            np.testing.assert_array_equal(run.finals[r], alone.finals[0])
+
+    @pytest.mark.parametrize("block", [13, 512])
+    def test_tripping_row_stops_alike_alone_and_with_others(self, block):
+        model = dense_quadratic(4, 6)
+        top = model.hessian_eig.eigenvalues[-1]
+        theta0 = model.minimizer + 0.3
+        # Row 2 grows by a factor 1.2 per step along the top mode.
+        lrs, ms, seeds = np.array([0.2, 1.0, 2.2, 0.05]) / top, [2, 1, 1, 5], [41, 42, 43, 44]
+        together = _advance_rows(model, theta0, lrs, ms, seeds, 900, record_stride=5,
+                                 snapshots=True, block=block)
+        alone = _advance_rows(model, theta0, lrs[2:3], ms[2:3], seeds[2:3], 900,
+                              record_stride=5, snapshots=True, block=block)
+        assert list(together.failures) == [2] and list(alone.failures) == [0]
+        assert together.failures[2].step == alone.failures[0].step
+        a, b = together.trajectory(2), alone.trajectory(0)
+        assert 0 < len(a.steps) < 181
+        for column in ("steps", "losses", "grad_norms_sq", "thetas"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+            np.testing.assert_array_equal(getattr(together.failures[2].trajectory, column),
+                                          getattr(b, column))
+
+    @pytest.mark.parametrize("block", [13, 512])
+    def test_saddle_rows_match_a_plain_loop_bitwise(self, block):
+        rng = np.random.default_rng(9)
+        hessian = random_symmetric(rng, 3)
+        model = QuadraticModel(SymMatrix(hessian), rng.standard_normal(3),
+                               SymMatrix(random_spd(rng, 3)), require_positive_definite=False)
+        lam = model.hessian_eig.eigenvalues
+        assert lam[0] < 0 < lam[-1]
+        theta0 = model.minimizer + 0.2
+        lrs, ms, seeds, steps = [0.02, 0.3, 1.0], [1, 3, 2], [51, 52, 53], 700
+        refs = [reference_row(model, theta0, lrs[r], ms[r], seeds[r], steps, 3)
+                for r in range(3)]
+        stops = [stop for _, _, stop in refs]
+        assert stops[0] is None and stops[1] is not None and stops[2] is not None
+        run = _advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=3,
+                            snapshots=True, block=block)
+        assert sorted(run.failures) == [1, 2]
+        for r, (records, final, stop) in enumerate(refs):
+            self.assert_row_matches(run.trajectory(r), records)
+            if stop is None:
+                np.testing.assert_array_equal(run.finals[r], final)
+            else:
+                assert run.failures[r].step == stop
 
     def test_rowwise_product_matches_blas_and_ignores_other_rows(self):
         rng = np.random.default_rng(3)
