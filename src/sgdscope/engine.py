@@ -11,7 +11,10 @@ The discrete SGD runs (``sgd_run``, ``gaussian_sgd_run``,
 Euler-Maruyama integrator ``sde_run`` share one stepping core,
 ``_advance_rows``, which advances a ``(rows, p)`` state array with one
 learning rate, time step, batch size and generator per row.  An SGD row's
-time step is its learning rate, an ``sde_run`` row's is ``dt``.
+time step is its learning rate, an ``sde_run`` row's is ``dt``.  Its
+quadratic branch, ``_lockstep``, also runs the exactly discretized OU
+diffusion ``ou_eigenbasis_run`` as one row; only the deterministic RK4
+``gradient_flow`` keeps a loop of its own.
 """
 
 from __future__ import annotations
@@ -188,15 +191,9 @@ def _record_state(rec: _Records, row: int, model: LossModel, step: int, theta: n
     rec.add(row, loss, float(grad @ grad), theta)
 
 
-def _check_batch(model: LossModel, batch_size: int) -> None:
-    n = model.example_count
-    if n is not None and batch_size > n:
-        raise EngineError(f"batch_size {batch_size} exceeds the {n} available examples")
-
-
 # ---------------------------------------------------------------------------
 # The stepping core behind sgd_run, gaussian_sgd_run, sde_run,
-# sgd_replica_ensemble and the experiments' replica runs.
+# ou_eigenbasis_run, sgd_replica_ensemble and the experiments' replica runs.
 
 # Lockstep rows draw and transform their noise this many steps at a time.
 NOISE_BLOCK = 512
@@ -286,26 +283,31 @@ def _advance_rows(
     diffusion.  At h = lr that scale is ``lr / sqrt(m)`` bit for bit, as
     ``lr / lr`` is exactly 1.  Quadratic models advance all rows together
     (see ``_lockstep``).  Other models loop over rows with the model's own
-    gradients: a minibatch of ``batch_size`` indices per step drawn per
-    ``sampling``, or, when ``surrogate`` is given, the drift gradient g plus
-    the surrogate noise ``xi F`` with ``(g, F) = surrogate(theta)`` (see
-    ``_surrogate_terms``) and ``xi`` standard normal, one entry per row of F.
+    gradients: a minibatch of ``batch_size`` indices (at most n) per step
+    drawn per ``sampling``, or, when ``surrogate`` is given, the drift
+    gradient g plus the surrogate noise ``xi F`` with ``(g, F) =
+    surrogate(theta)`` (see ``_surrogate_terms``) and ``xi`` standard
+    normal, one entry per row of F.
     """
     lrs = np.array(learning_rates, dtype=float)
     hs = lrs if time_steps is None else np.array(time_steps, dtype=float)
     ms = np.array(batch_sizes, dtype=np.int64)
     _check_rows(lrs, ms, steps)
     noise_scales = (hs / np.sqrt(ms)) * np.sqrt(lrs / hs)
+    n = model.example_count
+    if surrogate is None and n is not None and ms.max() > n:
+        raise EngineError(f"batch_size {ms.max()} exceeds the {n} available examples")
     rows, p = lrs.size, model.param_dim
-    rec = _Records(rows, steps, record_stride, p, snapshots)
-    out = _Rows(rec, hs, {}, np.empty((rows, p)))
+    out = _Rows(_Records(rows, steps, record_stride, p, snapshots), hs, {}, np.empty((rows, p)))
     if isinstance(model, QuadraticModel):
-        _lockstep(model, theta0, noise_scales, seeds, steps, block, out)
+        lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
+        _lockstep(out, theta0, seeds, steps, lam, vec, model.minimizer, 1.0 - hs[:, None] * lam,
+                  model.noise_sqrt.T @ vec, noise_scales, block)
         return out
     for r in range(rows):
         cfg = SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling)
         try:
-            out.finals[r] = _loop_row(model, rec, r, theta0, cfg, hs[r], noise_scales[r], surrogate)
+            out.finals[r] = _loop_row(model, out.records, r, theta0, cfg, hs[r], noise_scales[r], surrogate)
         except DivergenceError as err:
             out.failures[r] = err
     return out
@@ -359,37 +361,39 @@ def _put_records(rec: _Records, first: int, zs: np.ndarray, lam: np.ndarray, bac
     rec.grad_norms_sq[first:last] = np.multiply(weighted, weighted, out=weighted).sum(axis=-1)
 
 
-def _lockstep(model: QuadraticModel, theta0: np.ndarray, noise_scales, seeds, steps: int, block: int, out: _Rows) -> None:
-    """All rows of a synthesized-noise quadratic, advanced together.
+def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray, basis: np.ndarray,
+              center: np.ndarray, decay: np.ndarray, noise_map: np.ndarray, noise_scales,
+              block: int = NOISE_BLOCK) -> None:
+    """Rows of a diagonal linear-Gaussian recursion, advanced together.
 
-    The minibatch gradient H (theta - theta*) + mean of m per-example noise
-    draws takes one N(0, C/m) draw per step, xi R^T / sqrt(m) with R =
-    ``model.noise_sqrt``.  In H's eigenbasis, z = (theta - theta*) V, a row
-    with time step h and noise scale s (see ``_advance_rows``) steps
-    z <- (1 - h lam) z - s xi R^T V.  Each block of steps runs in three
-    stages: the recurrence overwrites the block's transformed noise with the
-    states; the guard takes each row's largest |z| over the block and checks
-    ||theta||^2 <= 1e24 only where that passes ``z_limit``, stopping the row
-    at its first failing step (its states from there on are zeroed); then
-    the records of the block's grid steps, snapshots theta = z V^T + theta*
-    included, are computed in batches.  Every operation acts on rows
-    separately and each entry undergoes the same operations in the same
-    order as in a plain step loop, so a row's bits depend neither on the
-    other rows nor on the block size.
+    In the eigenbasis ``basis``, z = (theta - center) basis, row r steps
+    z <- decay[r] z - noise_scales[r] xi noise_map with xi standard normal
+    in R^p from the row's generator.  Records carry 0.5 sum lam z^2 and
+    sum (lam z)^2; snapshots are theta = z basis^T + center.  A
+    synthesized-noise quadratic passes H's eigenpairs, its minimizer, decay
+    1 - h lam and noise map R^T V with R = ``model.noise_sqrt``, one
+    N(0, C/m) draw per step for the mean of m per-example noise draws (see
+    ``_advance_rows``); ``ou_eigenbasis_run`` passes the identity basis, a
+    zero centre, decay exp(-lam dt) and noise map -diag(std).
+
+    Each block of steps runs in three stages: the recurrence overwrites the
+    block's transformed noise with the states; the guard takes each row's
+    largest |z| over the block and checks ||theta||^2 <= 1e24 only where
+    that passes ``z_limit``, stopping the row at its first failing step (its
+    states from there on are zeroed); then the records of the block's grid
+    steps, snapshots included, are computed in batches.  Every operation
+    acts on rows separately and each entry undergoes the same operations in
+    the same order as in a plain step loop, so a row's bits depend neither
+    on the other rows nor on the block size.
     """
     rec = out.records
     hs = out.time_steps
-    eig = model.hessian_eig
-    lam, vec = eig.eigenvalues, eig.eigenvectors
-    center = model.minimizer
     rows, p = hs.size, lam.size
     grid = rec.steps
     gens = [np.random.default_rng(seed) for seed in seeds]
-    z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), vec)
-    decay = 1.0 - hs[:, None] * lam
-    noise_map = model.noise_sqrt.T @ vec
+    z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), basis)
     noise_scale = noise_scales[:, None, None]
-    back = vec.T
+    back = basis.T
     # max|z| at or below this keeps every ||theta|| within the guard.
     z_limit = (math.sqrt(DIVERGENCE_NORM_SQ) - float(np.linalg.norm(center))) / math.sqrt(p)
     scratch = np.empty_like(z)
@@ -468,7 +472,6 @@ def sgd_run(
     single row.
     """
     theta = as_param_vector(theta0, model.param_dim)
-    _check_batch(model, cfg.batch_size)
     run = _advance_rows(
         model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
         record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling,
@@ -609,7 +612,10 @@ def ou_eigenbasis_run(
     stepped exactly: z <- exp(-lam dt) z + eta with
     Var eta = (lr / 2m)(1 - exp(-2 lam dt)).  The stationary variance is
     lr/(2m) in every coordinate regardless of lam.  Records carry the
-    quadratic loss 0.5 * sum lam z^2 and its gradient norm squared.
+    quadratic loss 0.5 * sum lam z^2 and its gradient norm squared.  The
+    run is one row of the lockstep core: its states are bitwise those of a
+    plain loop over that step, and it raises :class:`DivergenceError` past
+    the core's norm guard.
     """
     lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if lam.size < 1 or not (np.isfinite(lam).all() and (lam > 0).all()):
@@ -619,22 +625,15 @@ def ou_eigenbasis_run(
     if batch_size < 1:
         raise EngineError("batch_size must be at least 1")
     steps = _step_count(t_end, dt)
-    z = np.zeros(lam.size) if z0 is None else as_param_vector(z0, lam.size)
-    rng = np.random.default_rng(seed)
+    p = lam.size
+    z = np.zeros(p) if z0 is None else as_param_vector(z0, p)
     decay = np.exp(-lam * dt)
     std = np.sqrt((learning_rate / (2.0 * batch_size)) * (1.0 - decay * decay))
-    rec = _Records(1, steps, record_stride, lam.size, snapshots)
-
-    def add(step: int, state: np.ndarray) -> None:
-        weighted = lam * state
-        rec.add(0, 0.5 * float(state @ weighted), float(weighted @ weighted), state)
-
-    add(0, z)
-    for k in range(1, steps + 1):
-        z = decay * z + std * rng.standard_normal(lam.size)
-        if k % record_stride == 0 or k == steps:
-            add(k, z)
-    return rec.trajectory(0, dt)
+    # decay z - xi (-diag(std)) rounds exactly as decay z + std xi.
+    run = _Rows(_Records(1, steps, record_stride, p, snapshots), np.array([dt]), {}, np.empty((1, p)))
+    _lockstep(run, z, [seed], steps, lam, np.eye(p), np.zeros(p), decay[None], -np.diag(std), np.ones(1))
+    run.raise_first_divergence()
+    return run.trajectory(0)
 
 
 def sgd_replica_ensemble(

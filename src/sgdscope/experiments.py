@@ -5,24 +5,23 @@ Every experiment seeds its runs from a single master seed through
 ``numpy.random.SeedSequence`` chains keyed on structural indices (grid
 position, replica number, config identity), so results are reproducible
 and independent of how work is partitioned across processes.
+
+The scan and the scaling curves take their runs from one row runner,
+``_run_rows``: on a synthesized-noise quadratic all runs are rows of one
+lockstep core call, on finite data each run is one task of
+``parallel_map``.  Either way the divergence with the earliest step over
+all runs is raised.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import (
-    SgdConfig,
-    Trajectory,
-    _advance_rows,
-    gradient_flow,
-    sgd_replica_ensemble,
-    sgd_run,
-)
+from .engine import Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
 from .estimators import _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix
 from .problems import DENSE_GUARD, LossModel, QuadraticModel, as_param_vector
@@ -42,12 +41,6 @@ __all__ = [
     "write_scan_csv",
     "write_curves_csv",
 ]
-
-SCAN_CSV_HEADER = (
-    "experiment_id,bs,lr,bs_over_lr,tr_h,tr_sigma2,tr_sigma2_h,"
-    "excess_loss,grad_norm_sq,pred_j2018,pred_w2019_loss,"
-    "pred_w2019_gradnorm,magnitude_diff,replicas"
-)
 
 MINIMUM_GRAD_NORM = 1e-6
 ESCAPE_NORM = 1e6
@@ -80,8 +73,58 @@ def parallel_map(fn, items, workers: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
+def _rows_task(payload):
+    """One core call; with ``accuracy`` each row's snapshots become its accuracy column."""
+    model, theta0, runs, steps, stride, accuracy = payload
+    out = _advance_rows(model, theta0, *zip(*runs), steps, record_stride=stride, snapshots=accuracy)
+    rows = []
+    for r in range(len(runs)):
+        traj = out.trajectory(r)
+        acc = None if traj.thetas is None else np.array([model.accuracy(t) for t in traj.thetas])
+        rows.append((replace(traj, thetas=None), acc, out.failures.get(r)))
+    return rows
+
+
+def _run_rows(model: LossModel, theta0, runs, steps: int, stride: int, workers: int,
+              accuracy: bool = False) -> list[tuple[Trajectory, np.ndarray | None]]:
+    """(trajectory, accuracy column) of ``(lr, m, seed)`` runs from ``theta0``, in run order.
+
+    On a synthesized-noise model all runs are rows of one lockstep call; on
+    finite data each run is a one-row task of ``parallel_map`` over
+    ``workers`` processes.  If any run diverges, the divergence with the
+    earliest step over all runs is raised (the earlier run on a tie).
+    """
+    theta0 = as_param_vector(theta0, model.param_dim)
+    groups = [runs] if model.synthesizes_noise else [[run] for run in runs]
+    tasks = [(model, theta0, group, steps, stride, accuracy) for group in groups]
+    rows = [row for group in parallel_map(_rows_task, tasks, workers) for row in group]
+    failures = [err for _, _, err in rows if err is not None]
+    if failures:
+        raise min(failures, key=lambda err: err.step)
+    return [(traj, acc) for traj, acc, _ in rows]
+
+
 # ---------------------------------------------------------------------------
 # Batch-size / learning-rate scan
+
+
+# The scan.csv columns, in order: (key in scan.csv and scan.json, ScanRow field).
+_SCAN_COLUMNS = (
+    ("experiment_id", "experiment_id"),
+    ("bs", "batch_size"),
+    ("lr", "learning_rate"),
+    ("bs_over_lr", "ratio"),
+    ("tr_h", "tr_h"),
+    ("tr_sigma2", "tr_sigma2"),
+    ("tr_sigma2_h", "tr_sigma2_h"),
+    ("excess_loss", "measured_excess_loss"),
+    ("grad_norm_sq", "measured_grad_norm_sq"),
+    ("pred_j2018", "pred_j2018"),
+    ("pred_w2019_loss", "pred_w2019_loss"),
+    ("pred_w2019_gradnorm", "pred_w2019_gradnorm"),
+    ("magnitude_diff", "magnitude_difference"),
+    ("replicas", "replica_count"),
+)
 
 
 @dataclass(frozen=True)
@@ -105,23 +148,7 @@ class ScanRow:
     converged: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "bs": self.batch_size,
-            "lr": self.learning_rate,
-            "bs_over_lr": self.ratio,
-            "tr_h": self.tr_h,
-            "tr_sigma2": self.tr_sigma2,
-            "tr_sigma2_h": self.tr_sigma2_h,
-            "excess_loss": self.measured_excess_loss,
-            "grad_norm_sq": self.measured_grad_norm_sq,
-            "pred_j2018": self.pred_j2018,
-            "pred_w2019_loss": self.pred_w2019_loss,
-            "pred_w2019_gradnorm": self.pred_w2019_gradnorm,
-            "magnitude_diff": self.magnitude_difference,
-            "replicas": self.replica_count,
-            "converged": self.converged,
-        }
+        return {key: getattr(self, name) for key, name in _SCAN_COLUMNS} | {"converged": self.converged}
 
 
 def _locate_minimum(model: LossModel, theta_start, flow_t: float, flow_dt: float):
@@ -133,17 +160,6 @@ def _locate_minimum(model: LossModel, theta_start, flow_t: float, flow_dt: float
     theta = traj.thetas[-1]
     grad = model.full_grad(theta)
     return theta, bool(grad @ grad < MINIMUM_GRAD_NORM**2)
-
-
-def _stationary_means(traj: Trajectory, burn_in: float):
-    stats = stationary_stats(traj, burn_in)
-    return stats.mean_loss, stats.mean_grad_norm_sq
-
-
-def _scan_replica_task(payload):
-    model, theta_star, lr, m, run_length, stride, seed, burn_in = payload
-    cfg = SgdConfig(lr, m, run_length, seed)
-    return _stationary_means(sgd_run(model, theta_star, cfg, record_stride=stride), burn_in)
 
 
 def _traces_at(model: LossModel, theta: np.ndarray):
@@ -179,8 +195,9 @@ def scan_bs_lr(
     row of a single lockstep call, drawing one N(0, C/m) noise variate per
     step (the law of a mean of m per-example draws); a grid point's row does
     not depend on the other grid points.  ``workers`` only fans out the runs
-    of finite-data models.  A diverging run raises :class:`DivergenceError`
-    with that run's partial trajectory.
+    of finite-data models, one task per run.  A diverging run raises the
+    :class:`DivergenceError` with the earliest step of all runs, carrying
+    that run's partial trajectory.
     """
     grid = [(float(lr), int(m)) for lr, m in grid]
     if not grid:
@@ -199,20 +216,13 @@ def scan_bs_lr(
         for gi, (lr, m) in enumerate(grid)
         for r in range(replicas)
     ]
-    if model.synthesizes_noise:
-        run = _advance_rows(model, theta_star, *zip(*runs), run_length, record_stride=stride)
-        run.raise_first_divergence()
-        outcomes = [_stationary_means(run.trajectory(i), burn_in_fraction)
-                    for i in range(len(runs))]
-    else:
-        payloads = [(model, theta_star, lr, m, run_length, stride, seed, burn_in_fraction)
-                    for lr, m, seed in runs]
-        outcomes = parallel_map(_scan_replica_task, payloads, workers)
+    stats = [stationary_stats(traj, burn_in_fraction)
+             for traj, _ in _run_rows(model, theta_star, runs, run_length, stride, workers)]
     rows = []
     for gi, (lr, m) in enumerate(grid):
-        chunk = outcomes[gi * replicas : (gi + 1) * replicas]
-        mean_loss = float(np.mean([loss for loss, _ in chunk]))
-        mean_gn = float(np.mean([gn for _, gn in chunk]))
+        chunk = stats[gi * replicas : (gi + 1) * replicas]
+        mean_loss = float(np.mean([s.mean_loss for s in chunk]))
+        mean_gn = float(np.mean([s.mean_grad_norm_sq for s in chunk]))
         if converged:
             preds = prediction_report(lr, m, tr_h, tr_sigma2, tr_mixed)
             pred_vals = (
@@ -246,28 +256,10 @@ def scan_bs_lr(
 
 
 def write_scan_csv(path, rows: list[ScanRow]) -> None:
-    lines = [SCAN_CSV_HEADER]
+    lines = [",".join(key for key, _ in _SCAN_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.experiment_id,
-                    str(row.batch_size),
-                    repr(row.learning_rate),
-                    repr(row.ratio),
-                    repr(row.tr_h),
-                    repr(row.tr_sigma2),
-                    repr(row.tr_sigma2_h),
-                    repr(row.measured_excess_loss),
-                    repr(row.measured_grad_norm_sq),
-                    repr(row.pred_j2018),
-                    repr(row.pred_w2019_loss),
-                    repr(row.pred_w2019_gradnorm),
-                    repr(row.magnitude_difference),
-                    str(row.replica_count),
-                ]
-            )
-        )
+        cells = (getattr(row, name) for _, name in _SCAN_COLUMNS)
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -323,23 +315,6 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _scaling_run_task(payload):
-    model, theta0, lr, m, run_length, stride, seed, want_accuracy = payload
-    cfg = SgdConfig(lr, m, run_length, seed)
-    traj = sgd_run(model, theta0, cfg, record_stride=stride, snapshots=want_accuracy)
-    accuracy = None
-    if want_accuracy and traj.thetas is not None:
-        accuracy = np.array([model.accuracy(t) for t in traj.thetas])
-        traj = Trajectory(
-            record_stride=traj.record_stride,
-            steps=traj.steps,
-            times=traj.times,
-            losses=traj.losses,
-            grad_norms_sq=traj.grad_norms_sq,
-        )
-    return traj, accuracy
-
-
 def _classify_off_ratio(base, off_ratio):
     """Rank off-ratio configs by distance from the base m/lr ratio; the
     closer half is `near_ratio`, the rest `far_ratio`.  Ties break on the
@@ -381,7 +356,9 @@ def linear_scaling_experiment(
     scored by mean absolute difference from the base curve.  A config whose
     (lr, m) equals the base draws the same seed and so reproduces the base
     run exactly.  On a synthesized-noise quadratic all configs run as rows
-    of one lockstep call; ``workers`` only fans out finite-data runs.
+    of one lockstep call; ``workers`` only fans out finite-data runs, one
+    task per config.  A classifier's accuracy column is computed from each
+    run's snapshots.
     """
     base_lr, base_m = float(base[0]), int(base[1])
     if run_length < 2:
@@ -399,15 +376,7 @@ def linear_scaling_experiment(
     stride = record_stride or max(1, run_length // 2000)
     want_accuracy = hasattr(model, "accuracy")
     runs = [(lr, m, derive_seed(seed, m, float_bits(lr))) for _, _, lr, m in configs]
-    if model.synthesizes_noise:
-        run = _advance_rows(model, as_param_vector(theta_init, model.param_dim), *zip(*runs),
-                            run_length, record_stride=stride)
-        run.raise_first_divergence()
-        results = [(run.trajectory(i), None) for i in range(len(runs))]
-    else:
-        payloads = [(model, theta_init, lr, m, run_length, stride, run_seed, want_accuracy)
-                    for lr, m, run_seed in runs]
-        results = parallel_map(_scaling_run_task, payloads, workers)
+    results = _run_rows(model, theta_init, runs, run_length, stride, workers, want_accuracy)
 
     horizon = min(traj.times[-1] for traj, _ in results)
     grid = np.linspace(burn_in_fraction * horizon, horizon, grid_points)

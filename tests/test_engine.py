@@ -419,6 +419,32 @@ class TestOuRun:
         recomputed = 0.5 * (traj.thetas**2 * lam).sum(axis=1)
         np.testing.assert_allclose(traj.losses, recomputed, rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_states_match_a_plain_loop_bitwise(self, stride):
+        # 1,300 steps cross the 512-step noise blocks of the stepping core.
+        lam = np.array([0.5, 2.0, 7.0])
+        lr, m, dt, seed, steps = 0.02, 3, 0.25, 31, 1300
+        z0 = np.array([0.3, -1.2, 2.5])
+        traj = ou_eigenbasis_run(lam, lr, m, t_end=steps * dt, dt=dt, seed=seed,
+                                 record_stride=stride, z0=z0)
+        decay = np.exp(-lam * dt)
+        std = np.sqrt((lr / (2.0 * m)) * (1.0 - decay * decay))
+        rng = np.random.default_rng(seed)
+        z, kept, states = z0, [0], [z0]
+        for k in range(1, steps + 1):
+            z = decay * z + std * rng.standard_normal(3)
+            if k % stride == 0 or k == steps:
+                kept.append(k)
+                states.append(z)
+        np.testing.assert_array_equal(traj.steps, kept)
+        assert traj.thetas.tobytes() == np.array(states).tobytes()
+
+    def test_divergence_is_raised_not_truncated(self):
+        with pytest.raises(DivergenceError) as info:
+            ou_eigenbasis_run([1e-3], 0.01, 1, t_end=1.0, dt=0.1, seed=0, z0=[2e12])
+        assert info.value.step == 1
+        np.testing.assert_array_equal(info.value.trajectory.steps, [0])
+
 
 class TestFluctuationCovariance:
     # The deviation covariance solves dG/dt = -(HG + GH) + C from G(0) = 0;

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgdscope.cli import main
-from sgdscope.engine import DivergenceError, SgdConfig, gaussian_sgd_run
+from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
 from sgdscope.experiments import (
     CurveSet,
     ExperimentError,
@@ -33,6 +33,11 @@ from sgdscope.problems import (
 
 def _cube(x):
     return x**3
+
+
+def blob_logistic(l2_penalty):
+    features, labels = generate_blobs(example_count=30, feature_dim=2, class_count=2, seed=5)
+    return make_logistic(features, labels, l2_penalty=l2_penalty)
 
 
 def isotropic_quadratic(dim, curvature, noise):
@@ -197,6 +202,43 @@ class TestScanBsLr:
         np.testing.assert_array_equal(pooled.trajectory.steps, serial.trajectory.steps)
         np.testing.assert_array_equal(pooled.trajectory.losses, serial.trajectory.losses)
 
+    def test_finite_data_divergence_with_the_earliest_step_is_raised(self):
+        model = blob_logistic(1.0)
+        with pytest.raises(DivergenceError) as alone:
+            scan_bs_lr(model, [(5.0, 5)], run_length=500, replicas=1, master_seed=1)
+        for workers in (1, 2):
+            with pytest.raises(DivergenceError) as info:
+                scan_bs_lr(model, [(5.0, 5), (10.0, 5)], run_length=500, replicas=1,
+                           master_seed=1, workers=workers)
+            # The later run (lr = 10) trips before the first one does.
+            err = info.value
+            assert 0 < err.step < alone.value.step
+            np.testing.assert_array_equal(err.trajectory.times, 10.0 * err.trajectory.steps)
+
+    def test_finite_data_scan_does_not_depend_on_worker_count(self, tmp_path):
+        model = blob_logistic(0.1)
+        outputs = []
+        for workers in (1, 2):
+            rows = scan_bs_lr(model, [(0.1, 5), (0.2, 10)], run_length=400, replicas=2,
+                              master_seed=3, workers=workers, flow_t=5.0, flow_dt=0.05)
+            write_scan_csv(tmp_path / "scan.csv", rows)
+            outputs.append((tmp_path / "scan.csv").read_bytes()
+                           + json.dumps([r.as_dict() for r in rows]).encode())
+        assert outputs[0] == outputs[1]
+
+    def test_finite_data_batch_larger_than_the_data_rejected(self):
+        with pytest.raises(EngineError, match="exceeds the 30 available examples"):
+            scan_bs_lr(blob_logistic(0.1), [(0.1, 31)], run_length=10, replicas=1,
+                       master_seed=0, flow_t=0.5, flow_dt=0.05)
+
+    def test_empty_csv_has_the_header(self, tmp_path):
+        write_scan_csv(tmp_path / "scan.csv", [])
+        assert (tmp_path / "scan.csv").read_text() == (
+            "experiment_id,bs,lr,bs_over_lr,tr_h,tr_sigma2,tr_sigma2_h,"
+            "excess_loss,grad_norm_sq,pred_j2018,pred_w2019_loss,"
+            "pred_w2019_gradnorm,magnitude_diff,replicas\n"
+        )
+
 
 class TestLinearScaling:
     def test_ratio_classes_order_on_quadratic(self):
@@ -248,6 +290,25 @@ class TestLinearScaling:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "config_label,ratio_class,step,t,loss,accuracy"
         assert lines[1].startswith("base,base,0,")
+
+    def test_classifier_curves_do_not_depend_on_worker_count(self, tmp_path):
+        features, labels = generate_blobs(example_count=60, feature_dim=3, class_count=3, seed=9)
+        model = make_mlp(3, 4, 3, (features, labels), seed=1)
+        outputs = []
+        for workers in (1, 2):
+            curves = linear_scaling_experiment(
+                model, base=(0.1, 10), factors=[1, 2], off_ratio=[(0.1, 30)],
+                run_length=300, seed=5, theta0=model.initial_params, workers=workers,
+            )
+            write_curves_csv(tmp_path / "curves.csv", curves)
+            outputs.append((tmp_path / "curves.csv").read_bytes()
+                           + json.dumps(curves.as_dict()).encode())
+        assert outputs[0] == outputs[1]
+
+    def test_finite_data_batch_larger_than_the_data_rejected(self):
+        with pytest.raises(EngineError, match="exceeds the 30 available examples"):
+            linear_scaling_experiment(blob_logistic(0.1), base=(0.1, 5), factors=[],
+                                      off_ratio=[(0.1, 40)], run_length=10, seed=0)
 
     def test_curves_csv_without_accuracy(self, tmp_path):
         model = isotropic_quadratic(1, 1.0, 0.2)
