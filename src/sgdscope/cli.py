@@ -137,13 +137,16 @@ KEY_SPECS = _spec_list(
 )
 
 
+# Input files.  A config file's paths resolve against its directory, and
+# config.resolved, written to out_dir, echoes them relative to out_dir.
+PATH_KEYS = ("hessian_file", "noise_file", "dataset_file")
+
+
 class RunConfig:
     """Validated, fully-resolved configuration values."""
 
-    def __init__(self, values: dict, as_written: dict | None = None):
+    def __init__(self, values: dict):
         self._values = dict(values)
-        # Input paths echo as the config file gave them, not as resolved.
-        self._as_written = dict(as_written or {})
 
     def __getattr__(self, name):
         try:
@@ -157,7 +160,9 @@ class RunConfig:
             value = self._values[name]
             if value is None:
                 continue
-            lines.append(f"{name} = {self._as_written.get(name, _format_value(value))}")
+            if name in PATH_KEYS:
+                value = os.path.relpath(value, self.out_dir)
+            lines.append(f"{name} = {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -277,15 +282,11 @@ def parse_config(argv) -> RunConfig:
         overrides[key] = raw
 
     raw_values = _read_config_file(config_path) if config_path else {}
-    as_written = {}
     if config_path:
-        # Input paths in a config file resolve against the file's directory,
-        # so bundled configs work from any working directory; out_dir and
-        # command-line paths stay cwd-relative.
+        # out_dir and command-line paths stay cwd-relative.
         base = os.path.dirname(os.path.abspath(config_path))
-        for key in ("hessian_file", "noise_file", "dataset_file"):
+        for key in PATH_KEYS:
             if key in raw_values and key not in overrides:
-                as_written[key] = raw_values[key]
                 raw_values[key] = os.path.join(base, raw_values[key])
     raw_values.update(overrides)
 
@@ -305,7 +306,7 @@ def parse_config(argv) -> RunConfig:
             values["workers"] = os.cpu_count() or 1
     if values["master_seed"] is None:
         values["master_seed"] = int(np.random.SeedSequence().entropy & ((1 << 63) - 1))
-    return RunConfig(values, as_written)
+    return RunConfig(values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,18 @@
 
 All runners are pure functions of their inputs plus an integer seed: a fresh
 generator is created per call, so identical calls reproduce trajectories
-bitwise.  Discrete runs abort with :class:`DivergenceError` (carrying the
-partial trajectory) once the iterate norm passes 1e12 or a recorded loss
-stops being finite.
+bitwise.  Every run, the deterministic flow included, aborts with
+:class:`DivergenceError` (carrying the partial trajectory) once the iterate
+norm passes 1e12 or a recorded loss stops being finite.
 
-The discrete SGD runs (``sgd_run``, ``gaussian_sgd_run``,
-``sgd_replica_ensemble`` and the experiments' replica runs) and the
-Euler-Maruyama integrator ``sde_run`` share one stepping core,
-``_advance_rows``, which advances a ``(rows, p)`` state array with one
-learning rate, time step, batch size and generator per row.  An SGD row's
-time step is its learning rate, an ``sde_run`` row's is ``dt``.  Its
-quadratic branch, ``_lockstep``, also runs the exactly discretized OU
-diffusion ``ou_eigenbasis_run`` as one row; only the deterministic RK4
-``gradient_flow`` keeps a loop of its own.
+Every run records into one buffer, ``_Rows``.  The discrete SGD runs
+(``sgd_run``, ``gaussian_sgd_run``, ``sgd_replica_ensemble`` and the
+experiments' runs) and the Euler-Maruyama integrator ``sde_run`` advance one
+row per learning rate, time step (``dt`` for ``sde_run``), batch size and
+generator through ``_advance_rows``.  Quadratic rows advance together in
+``_lockstep``, which also runs the exact OU diffusion ``ou_eigenbasis_run``;
+every other row, the deterministic RK4 ``gradient_flow`` included, is one
+guarded loop, ``_loop_row``, over its own step function.
 """
 
 from __future__ import annotations
@@ -130,21 +129,26 @@ class Trajectory:
             raise EngineError("snapshot count must match record count")
 
 
-class _Records:
-    """Strided records of one or more rows in one preallocated buffer.
+class _Rows:
+    """Strided records, final states and divergences of the rows of one run.
 
     Every row records on the same step grid (each ``stride``-th step and the
     last one); ``counts[r]`` is how many of those records row ``r`` reached.
     Columns are ``(records, rows)``, snapshots ``(records, rows, p)``.
+    ``failures`` maps each row the guard stopped to its divergence, which
+    carries the step it stopped at and the row's partial trajectory; the
+    other rows ran to the horizon and left their last state in ``finals``.
     """
 
-    def __init__(self, rows: int, total_steps: int, stride: int, param_dim: int, snapshots: bool):
+    def __init__(self, time_steps, total_steps: int, stride: int, param_dim: int, snapshots: bool):
         if stride < 1:
             raise EngineError("record_stride must be at least 1")
         grid = np.arange(0, total_steps + 1, stride, dtype=np.int64)
         if grid[-1] != total_steps:
             grid = np.append(grid, np.int64(total_steps))
         n_rec = len(grid)
+        self.time_steps = np.asarray(time_steps, dtype=float)
+        rows = self.time_steps.size
         self.stride = stride
         self.steps = grid
         self.losses = np.empty((n_rec, rows))
@@ -160,35 +164,39 @@ class _Records:
             else:
                 self.thetas = np.empty((n_rec, rows, param_dim))
         self.counts = np.zeros(rows, dtype=np.int64)
+        self.failures: dict[int, DivergenceError] = {}
+        self.finals = np.empty((rows, param_dim))
 
-    def add(self, row: int, loss: float, grad_norm_sq: float, theta: np.ndarray) -> None:
+    def record(self, row: int, model: LossModel, step: int, theta: np.ndarray) -> None:
+        """Append row ``row``'s loss, squared gradient norm and state at ``step``."""
+        loss = model.loss(theta)
+        if not np.isfinite(loss):
+            raise DivergenceError(step, self.trajectory(row), "loss is not finite")
+        grad = model.full_grad(theta)
         i = self.counts[row]
         self.losses[i, row] = loss
-        self.grad_norms_sq[i, row] = grad_norm_sq
+        self.grad_norms_sq[i, row] = float(grad @ grad)
         if self.thetas is not None:
             self.thetas[i, row] = theta
         self.counts[row] = i + 1
 
-    def trajectory(self, row: int, time_step: float) -> Trajectory:
+    def trajectory(self, row: int) -> Trajectory:
         """Row ``row``'s records so far, as views into the buffer."""
         k = self.counts[row]
         steps = self.steps[:k]
         return Trajectory(
             record_stride=self.stride,
             steps=steps,
-            times=steps * time_step,
+            times=steps * self.time_steps[row],
             losses=self.losses[:k, row],
             grad_norms_sq=self.grad_norms_sq[:k, row],
             thetas=None if self.thetas is None else self.thetas[:k, row],
         )
 
-
-def _record_state(rec: _Records, row: int, model: LossModel, step: int, theta: np.ndarray, time_step: float):
-    loss = model.loss(theta)
-    if not np.isfinite(loss):
-        raise DivergenceError(step, rec.trajectory(row, time_step), "loss is not finite")
-    grad = model.full_grad(theta)
-    rec.add(row, loss, float(grad @ grad), theta)
+    def raise_first_divergence(self) -> None:
+        """Raise the divergence of the row that tripped first, if any did."""
+        if self.failures:
+            raise min(self.failures.values(), key=lambda err: err.step)
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +239,6 @@ def _rowwise_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Rows:
-    """Outcome of one core call.
-
-    ``failures`` maps each row the guard stopped to its divergence, which
-    carries the step it stopped at and the row's partial trajectory; the
-    other rows ran to the horizon.
-    """
-
-    records: _Records
-    time_steps: np.ndarray
-    failures: dict[int, DivergenceError]
-    finals: np.ndarray
-
-    def trajectory(self, row: int) -> Trajectory:
-        return self.records.trajectory(row, self.time_steps[row])
-
-    def raise_first_divergence(self) -> None:
-        """Raise the divergence of the row that tripped first, if any did."""
-        if self.failures:
-            raise min(self.failures.values(), key=lambda err: err.step)
-
-
 def _advance_rows(
     model: LossModel,
     theta0: np.ndarray,
@@ -282,8 +267,8 @@ def _advance_rows(
     ``(h / sqrt(m)) sqrt(lr / h)``, the Euler-Maruyama step of the SGD
     diffusion.  At h = lr that scale is ``lr / sqrt(m)`` bit for bit, as
     ``lr / lr`` is exactly 1.  Quadratic models advance all rows together
-    (see ``_lockstep``).  Other models loop over rows with the model's own
-    gradients: a minibatch of ``batch_size`` indices (at most n) per step
+    (see ``_lockstep``).  Other models run each row in ``_loop_row`` with
+    a step picked once: a minibatch of ``batch_size`` indices (at most n)
     drawn per ``sampling``, or, when ``surrogate`` is given, the drift
     gradient g plus the surrogate noise ``xi F`` with ``(g, F) =
     surrogate(theta)`` (see ``_surrogate_terms``) and ``xi`` standard
@@ -298,16 +283,23 @@ def _advance_rows(
     if surrogate is None and n is not None and ms.max() > n:
         raise EngineError(f"batch_size {ms.max()} exceeds the {n} available examples")
     rows, p = lrs.size, model.param_dim
-    out = _Rows(_Records(rows, steps, record_stride, p, snapshots), hs, {}, np.empty((rows, p)))
+    out = _Rows(hs, steps, record_stride, p, snapshots)
     if isinstance(model, QuadraticModel):
         lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
         _lockstep(out, theta0, seeds, steps, lam, vec, model.minimizer, 1.0 - hs[:, None] * lam,
                   model.noise_sqrt.T @ vec, noise_scales, block)
         return out
     for r in range(rows):
-        cfg = SgdConfig(lrs[r], int(ms[r]), steps, seeds[r], sampling)
+        rng, m = np.random.default_rng(seeds[r]), int(ms[r])
+        if surrogate is not None:
+            noise = partial(rng.standard_normal, n)
+            step = partial(_surrogate_step, surrogate, hs[r], noise_scales[r], noise)
+        else:
+            draw = (partial(rng.integers, 0, n, size=m) if sampling == "with_replacement"
+                    else partial(rng.choice, n, size=m, replace=False))
+            step = partial(_minibatch_step, model, hs[r], draw)
         try:
-            out.finals[r] = _loop_row(model, out.records, r, theta0, cfg, hs[r], noise_scales[r], surrogate)
+            out.finals[r] = _loop_row(model, out, r, theta0, steps, step)
         except DivergenceError as err:
             out.failures[r] = err
     return out
@@ -325,32 +317,41 @@ def _surrogate_terms(model: LossModel, theta: np.ndarray) -> tuple[np.ndarray, n
     return mean, (grads - mean) / math.sqrt(grads.shape[0])
 
 
-def _loop_row(model: LossModel, rec: _Records, row: int, theta: np.ndarray, cfg: SgdConfig,
-              h: float, scale: float, surrogate):
-    rng = np.random.default_rng(cfg.seed)
-    m, steps = cfg.batch_size, cfg.steps
-    n = model.example_count
-    stride = rec.stride
-    _record_state(rec, row, model, 0, theta, h)
+def _surrogate_step(surrogate, h: float, scale: float, draw, theta: np.ndarray) -> np.ndarray:
+    grad, factor = surrogate(theta)
+    return theta - h * grad + scale * (draw() @ factor)
+
+
+def _minibatch_step(model: LossModel, h: float, draw, theta: np.ndarray) -> np.ndarray:
+    return theta - h * model.batch_grad(theta, draw())
+
+
+def _rk4_step(model: LossModel, dt: float, theta: np.ndarray) -> np.ndarray:
+    half = 0.5 * dt
+    k1 = -model.full_grad(theta)
+    k2 = -model.full_grad(theta + half * k1)
+    k3 = -model.full_grad(theta + half * k2)
+    k4 = -model.full_grad(theta + dt * k3)
+    return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _loop_row(model: LossModel, rows: _Rows, row: int, theta: np.ndarray, steps: int,
+              step) -> np.ndarray:
+    """Row ``row``: ``steps`` updates ``theta <- step(theta)``, recorded on the
+    grid; raises :class:`DivergenceError` once ||theta||^2 exceeds 1e24 or is NaN."""
+    stride = rows.stride
+    rows.record(row, model, 0, theta)
     for k in range(1, steps + 1):
-        if surrogate is not None:
-            grad, factor = surrogate(theta)
-            theta = theta - h * grad + scale * (rng.standard_normal(n) @ factor)
-        else:
-            if cfg.sampling == "with_replacement":
-                idx = rng.integers(0, n, size=m)
-            else:
-                idx = rng.choice(n, size=m, replace=False)
-            theta = theta - h * model.batch_grad(theta, idx)
+        theta = step(theta)
         sq = theta @ theta
         if sq != sq or sq > DIVERGENCE_NORM_SQ:
-            raise DivergenceError(k, rec.trajectory(row, h), "iterate norm guard tripped")
+            raise DivergenceError(k, rows.trajectory(row), "iterate norm guard tripped")
         if k % stride == 0 or k == steps:
-            _record_state(rec, row, model, k, theta, h)
+            rows.record(row, model, k, theta)
     return theta
 
 
-def _put_records(rec: _Records, first: int, zs: np.ndarray, lam: np.ndarray, back: np.ndarray,
+def _put_records(rec: _Rows, first: int, zs: np.ndarray, lam: np.ndarray, back: np.ndarray,
                  center: np.ndarray) -> None:
     """Records ``first, ...`` of every row from eigenbasis states ``zs``, which it overwrites."""
     last = first + len(zs)
@@ -386,10 +387,8 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     the same order as in a plain step loop, so a row's bits depend neither
     on the other rows nor on the block size.
     """
-    rec = out.records
-    hs = out.time_steps
-    rows, p = hs.size, lam.size
-    grid = rec.steps
+    rows, p = out.time_steps.size, lam.size
+    grid = out.steps
     gens = [np.random.default_rng(seed) for seed in seeds]
     z = _rowwise_matmul(np.tile(theta0 - center, (rows, 1)), basis)
     noise_scale = noise_scales[:, None, None]
@@ -400,7 +399,7 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     live = np.ones(rows, dtype=bool)
     # Records are gathered and computed ``chunk`` at a time.
     chunk = max(1, _TILE_ENTRIES // (rows * p))
-    _put_records(rec, 0, z[None].copy(), lam, back, center)
+    _put_records(out, 0, z[None].copy(), lam, back, center)
     recorded = 1
     # One block of noise, reused: drawn and transformed a tile of rows at a
     # time, then stored step-major so that each step reads one contiguous
@@ -437,9 +436,9 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
                 tripped = flagged[~(sq <= DIVERGENCE_NORM_SQ)]
                 if tripped.size:
                     j = int(tripped[0])
-                    rec.counts[r] = np.searchsorted(grid, done + j + 1)
+                    out.counts[r] = np.searchsorted(grid, done + j + 1)
                     out.failures[r] = DivergenceError(
-                        done + j + 1, rec.trajectory(r, hs[r]), "iterate norm guard tripped"
+                        done + j + 1, out.trajectory(r), "iterate norm guard tripped"
                     )
                     zr[j:] = 0.0
                     live[r] = False
@@ -448,10 +447,10 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
         last = int(np.searchsorted(grid, done + b, side="right"))
         at = grid[recorded:last] - (done + 1)
         for first in range(0, len(at), chunk):
-            _put_records(rec, recorded + first, states[at[first : first + chunk]], lam, back, center)
+            _put_records(out, recorded + first, states[at[first : first + chunk]], lam, back, center)
         recorded = last
         done += b
-    rec.counts[live] = recorded
+    out.counts[live] = recorded
     out.finals[:] = _rowwise_matmul(z, back) + center
 
 
@@ -575,23 +574,16 @@ def gradient_flow(
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta integration of dX/dt = -grad f(X).
 
-    Integrates round(t_end / dt) steps of size exactly dt; snapshots default
+    Integrates round(t_end / dt) steps of size exactly dt as one row of
+    ``_loop_row``: the same norm guard as the stochastic runs raises
+    :class:`DivergenceError` at the first step past it.  Snapshots default
     on because downstream interpolation needs the states.
     """
     theta = as_param_vector(theta0, model.param_dim)
     steps = _step_count(t_end, dt)
-    rec = _Records(1, steps, record_stride, theta.size, snapshots)
-    _record_state(rec, 0, model, 0, theta, dt)
-    half = 0.5 * dt
-    for k in range(1, steps + 1):
-        k1 = -model.full_grad(theta)
-        k2 = -model.full_grad(theta + half * k1)
-        k3 = -model.full_grad(theta + half * k2)
-        k4 = -model.full_grad(theta + dt * k3)
-        theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % record_stride == 0 or k == steps:
-            _record_state(rec, 0, model, k, theta, dt)
-    return rec.trajectory(0, dt)
+    run = _Rows([dt], steps, record_stride, theta.size, snapshots)
+    _loop_row(model, run, 0, theta, steps, partial(_rk4_step, model, dt))
+    return run.trajectory(0)
 
 
 def ou_eigenbasis_run(
@@ -630,7 +622,7 @@ def ou_eigenbasis_run(
     decay = np.exp(-lam * dt)
     std = np.sqrt((learning_rate / (2.0 * batch_size)) * (1.0 - decay * decay))
     # decay z - xi (-diag(std)) rounds exactly as decay z + std xi.
-    run = _Rows(_Records(1, steps, record_stride, p, snapshots), np.array([dt]), {}, np.empty((1, p)))
+    run = _Rows([dt], steps, record_stride, p, snapshots)
     _lockstep(run, z, [seed], steps, lam, np.eye(p), np.zeros(p), decay[None], -np.diag(std), np.ones(1))
     run.raise_first_divergence()
     return run.trajectory(0)
@@ -653,7 +645,7 @@ def sgd_replica_ensemble(
     minibatch noise is a single N(0, C/m) variate, exactly the law of a
     mean of ``batch_size`` per-example draws.
     """
-    if not isinstance(model, QuadraticModel) or not model.synthesizes_noise:
+    if not isinstance(model, QuadraticModel):
         raise EngineError("lockstep ensembles need a synthesized-noise quadratic model")
     if replicas < 1 or steps < 1:
         raise EngineError("replicas and steps must be positive")

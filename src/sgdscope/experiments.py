@@ -95,7 +95,7 @@ def _run_rows(model: LossModel, theta0, runs, steps: int, stride: int, workers: 
     earliest step over all runs is raised (the earlier run on a tie).
     """
     theta0 = as_param_vector(theta0, model.param_dim)
-    groups = [runs] if model.synthesizes_noise else [[run] for run in runs]
+    groups = [runs] if isinstance(model, QuadraticModel) else [[run] for run in runs]
     tasks = [(model, theta0, group, steps, stride, accuracy) for group in groups]
     rows = [row for group in parallel_map(_rows_task, tasks, workers) for row in group]
     failures = [err for _, _, err in rows if err is not None]
@@ -308,11 +308,9 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     if window <= 1:
         return values.astype(float, copy=True)
     cumulative = np.cumsum(np.concatenate([[0.0], values]))
-    out = np.empty(len(values))
     idx = np.arange(1, len(values) + 1)
     lo = np.maximum(idx - window, 0)
-    out = (cumulative[idx] - cumulative[lo]) / (idx - lo)
-    return out
+    return (cumulative[idx] - cumulative[lo]) / (idx - lo)
 
 
 def _classify_off_ratio(base, off_ratio):
@@ -485,7 +483,7 @@ def clt_experiment(
     closed form of the linearized diffusion's covariance.  Errors must not
     grow as the step size shrinks, up to twice the replica sampling noise.
     """
-    if not isinstance(model, QuadraticModel) or not model.synthesizes_noise:
+    if not isinstance(model, QuadraticModel):
         raise ExperimentError("the deviation ensemble needs a synthesized-noise quadratic model")
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 1 or any(not (d > 0) for d in deltas):

@@ -94,10 +94,6 @@ class SymMatrix:
     def zero(cls, dim: int) -> "SymMatrix":
         return cls(np.zeros((dim, dim)))
 
-    @classmethod
-    def from_array(cls, array) -> "SymMatrix":
-        return cls(np.asarray(array, dtype=float))
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:

@@ -80,10 +80,6 @@ class LossModel(abc.ABC):
     def example_count(self) -> int | None: ...
 
     @property
-    def synthesizes_noise(self) -> bool:
-        return self.example_count is None
-
-    @property
     def risk_minimum(self) -> float | None:
         """Known minimal loss value, when one exists."""
         return None
@@ -103,15 +99,11 @@ class LossModel(abc.ABC):
 
     def per_example_grads(self, theta: ParamVector) -> np.ndarray:
         """All per-example gradients stacked as rows (finite data only)."""
-        if self.example_count is None:
-            raise ModelError("model has no finite dataset of per-example gradients")
-        rows = [self.per_example_grad(theta, j) for j in range(self.example_count)]
-        return np.stack(rows)
+        raise ModelError("model has no finite dataset of per-example gradients")
 
     def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
-        """Mean per-example gradient over the given index order."""
-        rows = [self.per_example_grad(theta, int(j)) for j in indices]
-        return np.stack(rows).mean(axis=0)
+        """Mean per-example gradient over the given index order (finite data only)."""
+        raise ModelError("model has no finite dataset of per-example gradients")
 
     def synthesized_grad_draws(self, theta: ParamVector, count: int, rng) -> np.ndarray:
         """`count` fresh per-example gradient draws (synthesized noise only)."""

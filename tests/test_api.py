@@ -1,10 +1,15 @@
 """The public surface: every exported name resolves, removed names stay gone."""
 
 import importlib
+import inspect
 
+import numpy as np
 import pytest
 
-from sgdscope.problems import LossModel, QuadraticModel
+from sgdscope import engine
+from sgdscope.cli import RunConfig
+from sgdscope.linalg import SymMatrix
+from sgdscope.problems import LossModel, ModelError, QuadraticModel, make_quadratic
 
 MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine",
            "sgdscope.estimators", "sgdscope.experiments", "sgdscope.cli"]
@@ -28,3 +33,18 @@ def test_removed_names_are_gone(name):
 def test_models_have_no_synthesized_minibatch_grad():
     assert not hasattr(LossModel, "synthesized_minibatch_grad")
     assert not hasattr(QuadraticModel, "synthesized_minibatch_grad")
+
+
+def test_deleted_internals_stay_gone():
+    assert not hasattr(engine, "_Records") and not hasattr(engine, "_record_state")
+    assert not hasattr(LossModel, "synthesizes_noise")
+    assert not hasattr(SymMatrix, "from_array")
+    assert list(inspect.signature(RunConfig).parameters) == ["values"]
+
+
+def test_quadratic_has_no_dataset_gradients():
+    model = make_quadratic(np.eye(2), np.zeros(2), np.eye(2))
+    with pytest.raises(ModelError, match="no finite dataset"):
+        model.per_example_grads(np.zeros(2))
+    with pytest.raises(ModelError, match="no finite dataset"):
+        model.batch_grad(np.zeros(2), np.array([0, 1]))

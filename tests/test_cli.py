@@ -158,6 +158,16 @@ class TestCommands:
         assert code == 1
         assert captured.err.startswith("error: simulate: divergence at step")
 
+    def test_flow_divergence_is_reported(self, tmp_path, capsys):
+        # RK4 is unstable at dt * lam = 5.
+        code = main([
+            "flow", "--out_dir", str(tmp_path / "d"), "--hessian_diag", "1", "--noise_diag", "0",
+            "--theta0", "1", "--dt", "5", "--t_end", "100", "--master_seed", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: flow: divergence at step 11")
+
     def test_config_resolved_reflects_overrides(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path / "run.cfg", "command = simulate\nsteps = 100\n")
@@ -327,5 +337,24 @@ class TestCommands:
             assert (root / "out" / "gamma.csv").exists()
             echoes.append((root / "out" / "config.resolved").read_bytes())
         assert echoes[0] == echoes[1]
-        assert b"hessian_file = h.csv\n" in echoes[0]
-        assert b"noise_file = c.csv\n" in echoes[0]
+        assert b"hessian_file = ../configs/h.csv\n" in echoes[0]
+        assert b"noise_file = ../configs/c.csv\n" in echoes[0]
+
+    def test_config_resolved_runs_again_as_a_config(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lyapunov.cfg")
+        first, again = tmp_path / "first", tmp_path / "again"
+        self.run_ok(["--config", config, "--out_dir", str(first)], capsys)
+        self.run_ok(["--config", str(first / "config.resolved"), "--out_dir", str(again)], capsys)
+        for name in ("gamma.csv", "lyapunov.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_config_resolved_runs_again_with_command_line_paths(self, tmp_path, capsys,
+                                                                monkeypatch):
+        write_matrix_csv(tmp_path / "h.csv", SymMatrix(np.diag([1.0, 2.0])))
+        write_matrix_csv(tmp_path / "c.csv", SymMatrix(np.diag([0.1, 0.3])))
+        monkeypatch.chdir(tmp_path)
+        self.run_ok(["lyapunov", "--hessian_file", "h.csv", "--noise_file", "c.csv",
+                     "--out_dir", "first", "--master_seed", "0"], capsys)
+        self.run_ok(["--config", "first/config.resolved", "--out_dir", "again"], capsys)
+        for name in ("gamma.csv", "lyapunov.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()

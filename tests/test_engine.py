@@ -29,6 +29,7 @@ from sgdscope.problems import (
     generate_blobs,
     gradient_covariance,
     make_logistic,
+    make_mlp,
     make_quadratic,
 )
 
@@ -63,6 +64,13 @@ def small_logistic():
         example_count=40, feature_dim=3, class_count=2, seed=11
     )
     return make_logistic(features, labels, l2_penalty=1e-3)
+
+
+def small_mlp():
+    features, labels = generate_blobs(
+        example_count=40, feature_dim=2, class_count=3, seed=12
+    )
+    return make_mlp(2, 4, 3, (features, labels), seed=5)
 
 
 def one_step_increments(run, count):
@@ -384,6 +392,19 @@ class TestGradientFlow:
         model = small_logistic()
         traj = gradient_flow(model, np.zeros(model.param_dim), t_end=5.0, dt=0.05)
         assert (np.diff(traj.losses) <= 1e-12).all()
+
+    def test_divergence_raises_with_the_partial_run(self):
+        # At dt * lam = 5 an RK4 step multiplies theta by
+        # 1 - 5 + 5^2/2 - 5^3/6 + 5^4/24 = 13.7, so ||theta|| passes 1e12 at step 11.
+        model = quadratic([1.0], 0.0)
+        with pytest.raises(DivergenceError) as info:
+            gradient_flow(model, [1.0], t_end=100.0, dt=5.0)
+        err = info.value
+        assert err.step == 11
+        np.testing.assert_array_equal(err.trajectory.steps, np.arange(11))
+        np.testing.assert_array_equal(err.trajectory.times, 5.0 * np.arange(11))
+        growth = 1.0 - 5.0 + 25.0 / 2.0 - 125.0 / 6.0 + 625.0 / 24.0
+        np.testing.assert_allclose(err.trajectory.thetas[:, 0], growth ** np.arange(11), rtol=1e-12)
 
 
 class TestOuRun:
@@ -814,3 +835,69 @@ class TestLockstepCore:
         model = quadratic([1.0], 0.1)
         with pytest.raises(EngineError, match=r"diverged: replica \d+, divergence at step \d+"):
             sgd_replica_ensemble(model, [1.0], 3.0, 1, steps=500, replicas=3, master_seed=0)
+
+
+def plain_step_loop(model, theta0, steps, stride, step):
+    """(step, loss, ||grad||^2, theta) records of ``theta <- step(theta)`` from ``theta0``."""
+    theta, records = theta0, []
+    for k in range(steps + 1):
+        if k > 0:
+            theta = step(theta)
+        if k % stride == 0 or k == steps:
+            grad = model.full_grad(theta)
+            records.append((k, model.loss(theta), grad @ grad, theta))
+    return records
+
+
+class TestFiniteDataRows:
+    def assert_row_matches(self, traj, records):
+        np.testing.assert_array_equal(traj.steps, [k for k, _, _, _ in records])
+        np.testing.assert_array_equal(traj.losses, [v for _, v, _, _ in records])
+        np.testing.assert_array_equal(traj.grad_norms_sq, [g for _, _, g, _ in records])
+        np.testing.assert_array_equal(traj.thetas, [t for _, _, _, t in records])
+
+    @pytest.mark.parametrize("make_model", [small_logistic, small_mlp])
+    @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rows_match_a_plain_loop_bitwise(self, make_model, sampling, stride):
+        model = make_model()
+        n = model.example_count
+        theta0 = np.full(model.param_dim, 0.2)
+        lrs, ms, seeds, steps = [0.1, 0.3], [4, 8], [41, 42], 60
+        run = _advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=stride,
+                            snapshots=True, sampling=sampling)
+        assert not run.failures
+        for r in range(2):
+            rng = np.random.default_rng(seeds[r])
+
+            def step(theta, lr=lrs[r], m=ms[r]):
+                if sampling == "with_replacement":
+                    idx = rng.integers(0, n, size=m)
+                else:
+                    idx = rng.choice(n, size=m, replace=False)
+                return theta - lr * model.batch_grad(theta, idx)
+
+            records = plain_step_loop(model, theta0, steps, stride, step)
+            self.assert_row_matches(run.trajectory(r), records)
+            np.testing.assert_array_equal(run.finals[r], records[-1][3])
+
+    @pytest.mark.parametrize("make_model", [small_logistic, small_mlp])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_gaussian_run_matches_a_plain_loop_bitwise(self, make_model, stride):
+        # The surrogate noise is xi F with F the centred per-example
+        # gradients at the start point over sqrt(n), frozen for the run.
+        model = make_model()
+        n = model.example_count
+        theta0 = np.full(model.param_dim, 0.2)
+        lr, m, seed, steps = 0.1, 4, 43, 60
+        grads = model.per_example_grads(theta0)
+        frozen = (grads - grads.mean(axis=0)) / np.sqrt(n)
+        rng = np.random.default_rng(seed)
+
+        def step(theta):
+            return theta - lr * model.full_grad(theta) + (lr / np.sqrt(m)) * (rng.standard_normal(n) @ frozen)
+
+        records = plain_step_loop(model, theta0, steps, stride, step)
+        traj = gaussian_sgd_run(model, theta0, SgdConfig(lr, m, steps, seed), record_stride=stride,
+                                snapshots=True)
+        self.assert_row_matches(traj, records)
