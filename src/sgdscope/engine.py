@@ -209,8 +209,9 @@ NOISE_BLOCK = 512
 _TILE_ENTRIES = 1 << 16
 
 
-def _rowwise_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``x @ a`` accumulated in index order by elementwise operations.
+def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ a`` accumulated in index order by elementwise operations, into
+    ``out`` if given (it must not overlap ``x``).
 
     BLAS kernels change with the number of rows, and with them the last bits
     of every row; here each vector (last axis) of the result depends on its
@@ -222,13 +223,14 @@ def _rowwise_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     vectors (the two orders cost the same at about 100 q to 200 q).
     """
     p, q = a.shape
+    if out is None:
+        out = np.empty(x.shape[:-1] + (q,))
     if x.size <= 128 * p * q:
-        out = x[..., :1] * a[0]
+        np.multiply(x[..., :1], a[0], out=out)
         term = np.empty_like(out)
         for k in range(1, p):
             out += np.multiply(x[..., k : k + 1], a[k], out=term)
         return out
-    out = np.empty(x.shape[:-1] + (q,))
     column = np.empty(x.shape[:-1])
     term = np.empty_like(column)
     for j in range(q):
@@ -402,22 +404,31 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     _put_records(out, 0, z[None].copy(), lam, back, center)
     recorded = 1
     # One block of noise, reused: drawn and transformed a tile of rows at a
-    # time, then stored step-major so that each step reads one contiguous
-    # (rows, p) slice, which the recurrence overwrites with that step's z.
-    buffer = np.empty((min(block, steps), rows, p))
+    # time in two scratch arrays sized for the first (longest) block's
+    # tiles, then stored step-major, one p-wide item per (step, row), so
+    # that each step reads one contiguous (rows, p) slice, which the
+    # recurrence overwrites with that step's z.
+    b = min(block, steps)
+    buffer = np.empty((b, rows, p))
+    tile_entries = min(rows * b * p, max(_TILE_ENTRIES, b * p))
+    drawn, mixed = np.empty(tile_entries), np.empty(tile_entries)
+    item = np.dtype((np.void, 8 * p))
     done = 0
     while done < steps and live.any():
         b = min(block, steps - done)
         states = buffer[:b]
         tile_rows = max(1, _TILE_ENTRIES // (b * p))
         for s in range(0, rows, tile_rows):
-            tile = np.zeros((min(tile_rows, rows - s), b, p))
-            for i, r in enumerate(range(s, s + len(tile))):
-                if live[r]:
-                    gens[r].standard_normal((b, p), out=tile[i])
-            tile = _rowwise_matmul(tile, noise_map)
-            tile *= noise_scale[s : s + len(tile)]
-            states[:, s : s + len(tile)] = tile.swapaxes(0, 1)
+            n = min(tile_rows, rows - s)
+            tile = drawn[: n * b * p].reshape(n, b, p)
+            for i in range(n):
+                if live[s + i]:
+                    gens[s + i].standard_normal((b, p), out=tile[i])
+                else:  # a stopped row; the scratch still holds earlier draws
+                    tile[i] = 0.0
+            noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
+            noise *= noise_scale[s : s + n]
+            states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
         # A diverging row overflows before the guard sees it.
         with np.errstate(over="ignore", invalid="ignore"):
             prev = z

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
+from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
 from .estimators import _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix
 from .problems import DENSE_GUARD, LossModel, QuadraticModel, as_param_vector
@@ -156,7 +156,11 @@ def _locate_minimum(model: LossModel, theta_start, flow_t: float, flow_dt: float
     if isinstance(model, QuadraticModel):
         return model.minimizer.copy(), True
     start = np.zeros(model.param_dim) if theta_start is None else np.asarray(theta_start, float)
-    traj = gradient_flow(model, start, t_end=flow_t, dt=flow_dt, record_stride=10**9)
+    try:
+        traj = gradient_flow(model, start, t_end=flow_t, dt=flow_dt, record_stride=10**9)
+    except DivergenceError as err:
+        detail = f"minimum search: gradient flow at flow_dt {flow_dt} tripped the iterate norm guard"
+        raise DivergenceError(err.step, err.trajectory, detail) from err
     theta = traj.thetas[-1]
     grad = model.full_grad(theta)
     return theta, bool(grad @ grad < MINIMUM_GRAD_NORM**2)
@@ -597,6 +601,14 @@ def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replic
         yield run.trajectory(r), r in run.failures
 
 
+def _median(values) -> float:
+    """``np.median`` of a non-empty list, bit for bit, without the import of
+    ``numpy.ma`` that the first ``np.median`` call makes."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def saddle_divergence_experiment(
     h_indefinite: SymMatrix,
     noise_cov: SymMatrix,
@@ -652,7 +664,7 @@ def saddle_divergence_experiment(
         slopes.append(float("nan"))
 
     finite = [s for s in slopes if np.isfinite(s)]
-    median_slope = float(np.median(finite)) if finite else float("nan")
+    median_slope = _median(finite) if finite else float("nan")
     escape_fraction = escaped / replicas
     diverged = (
         escape_fraction >= 0.5

@@ -102,9 +102,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def sym_eigendecompose(matrix: SymMatrix) -> EigenDecomposition:
     """Full eigendecomposition by LAPACK's symmetric solver (``numpy.linalg.eigh``).

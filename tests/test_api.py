@@ -8,7 +8,7 @@ import pytest
 
 from sgdscope import engine
 from sgdscope.cli import RunConfig
-from sgdscope.linalg import SymMatrix
+from sgdscope.linalg import EigenDecomposition, SymMatrix
 from sgdscope.problems import LossModel, ModelError, QuadraticModel, make_quadratic
 
 MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine",
@@ -39,6 +39,7 @@ def test_deleted_internals_stay_gone():
     assert not hasattr(engine, "_Records") and not hasattr(engine, "_record_state")
     assert not hasattr(LossModel, "synthesizes_noise")
     assert not hasattr(SymMatrix, "from_array")
+    assert not hasattr(EigenDecomposition, "reconstruct")
     assert list(inspect.signature(RunConfig).parameters) == ["values"]
 
 

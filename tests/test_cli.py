@@ -168,6 +168,21 @@ class TestCommands:
         assert code == 1
         assert captured.err.startswith("error: flow: divergence at step 11")
 
+    def test_minimum_search_divergence_names_the_search(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        self.run_ok(["gen-data", "--out_dir", str(data_dir), "--master_seed", "1"], capsys)
+        code = main([
+            "scan", "--out_dir", str(tmp_path / "s"), "--model", "logistic",
+            "--l2_penalty", "1", "--dataset_file", str(data_dir / "dataset.csv"),
+            "--lr_list", "0.1", "--bs_list", "4", "--steps", "200", "--replicas", "1",
+            "--flow_dt", "5", "--flow_t", "100", "--master_seed", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "error: scan: divergence at step 11: minimum search: gradient flow at flow_dt 5.0 "
+        )
+
     def test_config_resolved_reflects_overrides(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path / "run.cfg", "command = simulate\nsteps = 100\n")

@@ -21,7 +21,7 @@ from sgdscope.engine import (
     write_snapshots_csv,
     write_trajectory_csv,
 )
-from sgdscope.engine import _advance_rows, _rowwise_matmul
+from sgdscope.engine import NOISE_BLOCK, _advance_rows, _rowwise_matmul
 from sgdscope.experiments import clt_experiment
 from sgdscope.linalg import SymMatrix
 from sgdscope.problems import (
@@ -657,6 +657,47 @@ class TestLockstepCore:
         np.testing.assert_array_equal(full, in_order_matmul(x, a))
         for i in range(shape[0]):
             np.testing.assert_array_equal(_rowwise_matmul(x[i], a), full[i])
+
+    @pytest.mark.parametrize("shape", [(3, 5, 2), (64, 512, 2), (42, 512, 3)])
+    def test_rowwise_product_into_out_equals_the_allocating_one(self, shape):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(shape)
+        a = rng.standard_normal((shape[-1], shape[-1]))
+        out = np.full(shape, np.nan)
+        assert _rowwise_matmul(x, a, out=out) is out
+        np.testing.assert_array_equal(out, _rowwise_matmul(x, a))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_match_a_plain_loop_across_tiles_and_blocks(self, dim):
+        # 150 rows, 700 steps, default block: at p = 2 the first block runs
+        # in tiles of 64, 64 and 22 rows and the 188-step second block in one
+        # tile of 150; at p = 3 in 42, 42, 42 and 24, then 116 and 34.
+        model = dense_quadratic(dim, 7)
+        top = model.hessian_eig.eigenvalues[-1]
+        theta0 = model.minimizer + 0.5
+        rows, steps, stride, tripping = 150, 700, 7, 70
+        lrs = np.linspace(0.02, 1.0, rows) / top
+        # Row 70 grows by a factor 1.25 per step and trips the guard in the
+        # first block; its slot is filled with zeros in the second.
+        lrs[tripping] = 2.25 / top
+        ms = [1 + r % 5 for r in range(rows)]
+        seeds = [300 + r for r in range(rows)]
+        run = _advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=stride,
+                            snapshots=True)
+        assert list(run.failures) == [tripping]
+        for r in range(rows):
+            records, final, stop = reference_row(model, theta0, lrs[r], ms[r], seeds[r], steps,
+                                                 stride)
+            self.assert_row_matches(run.trajectory(r), records)
+            if r == tripping:
+                assert stop is not None and stop < NOISE_BLOCK
+                assert run.failures[r].step == stop
+                self.assert_row_matches(run.failures[r].trajectory, records)
+                # Its states are zero from the stop on, so it ends at the centre.
+                np.testing.assert_array_equal(run.finals[r], model.minimizer)
+            else:
+                assert stop is None
+                np.testing.assert_array_equal(run.finals[r], final)
 
     @pytest.mark.parametrize("dim", [3, 20])
     @pytest.mark.parametrize("stride", [1, 7])

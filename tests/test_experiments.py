@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgdscope
 from sgdscope.cli import main
 from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
 from sgdscope.experiments import (
@@ -20,7 +25,7 @@ from sgdscope.experiments import (
     write_curves_csv,
     write_scan_csv,
 )
-from sgdscope.experiments import _saddle_runs
+from sgdscope.experiments import _median, _saddle_runs
 from sgdscope.linalg import SymMatrix, solve_lyapunov
 from sgdscope.problems import (
     QuadraticModel,
@@ -467,6 +472,31 @@ class TestSaddleDivergence:
                 SymMatrix(np.diag([1.0, 2.0])), SymMatrix(np.eye(2)),
                 0.01, 1, 100, 2, 0,
             )
+
+    def test_median_helper_equals_numpy_median(self):
+        rng = np.random.default_rng(12)
+        for size in (1, 2, 3, 4, 7, 10, 11):
+            scales = 10.0 ** rng.integers(-4, 5, size)
+            values = [float(v) for v in rng.standard_normal(size) * scales]
+            assert _median(values) == float(np.median(values))
+        assert _median([2.0, -1.0]) == float(np.median([2.0, -1.0])) == 0.5
+        assert _median([3.0, 1.0, 2.0]) == 2.0
+
+    def test_probe_does_not_import_numpy_ma(self):
+        script = (
+            "import sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from sgdscope import SymMatrix, saddle_divergence_experiment\n"
+            "report = saddle_divergence_experiment(SymMatrix(numpy.diag([1.0, -1.0])),\n"
+            "    SymMatrix(numpy.eye(2)), 0.01, 1, 2000, 4, 6)\n"
+            "assert report.replica_slopes\n"
+            "print(not before and 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(sgdscope.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_report_dict_is_json_serializable(self):
         report = saddle_divergence_experiment(
