@@ -5,146 +5,19 @@ The package simulates minibatch SGD and its continuous-time surrogates
 associated Lyapunov equations, and checks measured stationary behavior
 against closed-form predictions built from the curvature trace and the
 gradient-noise trace.
+
+It republishes the public names of its five modules: a name is public here
+exactly when it is listed in its module's ``__all__``.
 """
 
-from sgdscope.engine import (
-    DivergenceError,
-    EngineError,
-    SgdConfig,
-    Trajectory,
-    gaussian_sgd_run,
-    gradient_flow,
-    ou_eigenbasis_run,
-    sde_run,
-    sgd_replica_ensemble,
-    sgd_run,
-    write_snapshots_csv,
-    write_trajectory_csv,
-)
-from sgdscope.estimators import (
-    EstimatorError,
-    PredictionReport,
-    StationaryStats,
-    format_prediction_report,
-    grad_cov_trace,
-    hutchinson_trace,
-    magnitude_difference,
-    model_report,
-    predict_excess_loss_w2019,
-    predict_gradnorm_w2019,
-    predict_loss_j2018,
-    prediction_report,
-    stationary_stats,
-    trace_sigma2_h,
-)
-from sgdscope.experiments import (
-    CltReport,
-    CurveEntry,
-    CurveSet,
-    ExperimentError,
-    SaddleReport,
-    ScanRow,
-    clt_experiment,
-    derive_seed,
-    float_bits,
-    linear_scaling_experiment,
-    parallel_map,
-    saddle_divergence_experiment,
-    scan_bs_lr,
-    write_curves_csv,
-    write_scan_csv,
-)
-from sgdscope.linalg import (
-    LinAlgError,
-    NotPositiveDefiniteError,
-    SymMatrix,
-    SymmetryError,
-    read_matrix_csv,
-    solve_lyapunov,
-    sqrt_spd,
-    sym_eigendecompose,
-    trace,
-    write_matrix_csv,
-)
-from sgdscope.problems import (
-    LogisticModel,
-    LossModel,
-    MlpModel,
-    ModelError,
-    QuadraticModel,
-    generate_blobs,
-    gradient_covariance,
-    make_logistic,
-    make_mlp,
-    make_quadratic,
-    read_dataset_csv,
-    write_dataset_csv,
-)
+from sgdscope import engine, estimators, experiments, linalg, problems
+from sgdscope.engine import *  # noqa: F403
+from sgdscope.estimators import *  # noqa: F403
+from sgdscope.experiments import *  # noqa: F403
+from sgdscope.linalg import *  # noqa: F403
+from sgdscope.problems import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CltReport",
-    "CurveEntry",
-    "CurveSet",
-    "DivergenceError",
-    "EngineError",
-    "EstimatorError",
-    "ExperimentError",
-    "LinAlgError",
-    "LogisticModel",
-    "LossModel",
-    "MlpModel",
-    "ModelError",
-    "NotPositiveDefiniteError",
-    "PredictionReport",
-    "QuadraticModel",
-    "SaddleReport",
-    "ScanRow",
-    "SgdConfig",
-    "StationaryStats",
-    "SymMatrix",
-    "SymmetryError",
-    "Trajectory",
-    "clt_experiment",
-    "derive_seed",
-    "float_bits",
-    "format_prediction_report",
-    "gaussian_sgd_run",
-    "generate_blobs",
-    "grad_cov_trace",
-    "gradient_covariance",
-    "gradient_flow",
-    "hutchinson_trace",
-    "linear_scaling_experiment",
-    "magnitude_difference",
-    "make_logistic",
-    "make_mlp",
-    "make_quadratic",
-    "model_report",
-    "ou_eigenbasis_run",
-    "parallel_map",
-    "predict_excess_loss_w2019",
-    "predict_gradnorm_w2019",
-    "predict_loss_j2018",
-    "prediction_report",
-    "read_dataset_csv",
-    "read_matrix_csv",
-    "saddle_divergence_experiment",
-    "scan_bs_lr",
-    "sde_run",
-    "sgd_replica_ensemble",
-    "sgd_run",
-    "solve_lyapunov",
-    "sqrt_spd",
-    "stationary_stats",
-    "sym_eigendecompose",
-    "trace",
-    "trace_sigma2_h",
-    "write_curves_csv",
-    "write_dataset_csv",
-    "write_matrix_csv",
-    "write_scan_csv",
-    "write_snapshots_csv",
-    "write_trajectory_csv",
-]
+__all__ = sorted({name for module in (engine, estimators, experiments, linalg, problems)
+                  for name in module.__all__})

@@ -21,6 +21,7 @@ from .engine import (
     DivergenceError,
     EngineError,
     SgdConfig,
+    _step_count,
     gradient_flow,
     ou_eigenbasis_run,
     sgd_run,
@@ -323,14 +324,20 @@ def _matrix_from_keys(cfg: RunConfig, file_key: str, diag_key: str, scale: float
     return SymMatrix(scale * np.eye(dim))
 
 
+def _quadratic_matrices(cfg: RunConfig):
+    """The curvature H and noise covariance C a quadratic config names."""
+    hessian = _matrix_from_keys(cfg, "hessian_file", "hessian_diag", cfg.curvature_scale, cfg.dim)
+    noise = _matrix_from_keys(cfg, "noise_file", "noise_diag", cfg.noise_scale, hessian.dim)
+    if noise.dim != hessian.dim:
+        raise ConfigError(
+            f"noise dimension {noise.dim} does not match curvature dimension {hessian.dim}"
+        )
+    return hessian, noise
+
+
 def _build_model(cfg: RunConfig):
     if cfg.model == "quadratic":
-        hessian = _matrix_from_keys(cfg, "hessian_file", "hessian_diag", cfg.curvature_scale, cfg.dim)
-        noise = _matrix_from_keys(cfg, "noise_file", "noise_diag", cfg.noise_scale, hessian.dim)
-        if noise.dim != hessian.dim:
-            raise ConfigError(
-                f"noise dimension {noise.dim} does not match curvature dimension {hessian.dim}"
-            )
+        hessian, noise = _quadratic_matrices(cfg)
         return make_quadratic(hessian, np.zeros(hessian.dim), noise)
     if cfg.dataset_file is None:
         raise ConfigError(f"dataset_file is required for model={cfg.model}")
@@ -363,10 +370,6 @@ def _auto_stride(cfg: RunConfig, total_steps: int) -> int:
     return max(1, total_steps // 10_000)
 
 
-def _out(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, name)
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -374,67 +377,55 @@ def _write_json(path: str, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers (each returns the list of files it wrote)
+# Command handlers.  Each yields ``(file name, writer, value...)`` in the
+# order its files are written; ``run`` writes each one under out_dir before
+# it asks for the next, so a later failure leaves the earlier files behind.
 
 
-def _cmd_simulate(cfg: RunConfig) -> list[str]:
+def _trajectory_files(traj):
+    yield "trajectory.csv", write_trajectory_csv, traj
+    if traj.thetas is not None:
+        yield "snapshots.csv", write_snapshots_csv, traj
+
+
+def _cmd_simulate(cfg: RunConfig):
     model = _build_model(cfg)
     run_cfg = SgdConfig(cfg.learning_rate, cfg.batch_size, cfg.steps, cfg.master_seed, cfg.sampling)
     traj = sgd_run(
         model, _start_point(cfg, model), run_cfg,
         record_stride=_auto_stride(cfg, cfg.steps), snapshots=cfg.snapshots,
     )
-    written = [_out(cfg, "trajectory.csv")]
-    write_trajectory_csv(written[0], traj)
-    if traj.thetas is not None:
-        path = _out(cfg, "snapshots.csv")
-        write_snapshots_csv(path, traj)
-        written.append(path)
+    yield from _trajectory_files(traj)
     stats = stationary_stats(traj, cfg.burn_in)
-    payload = {
+    yield "simulate.json", _write_json, {
         "mean_loss": stats.mean_loss,
         "mean_grad_norm_sq": stats.mean_grad_norm_sq,
         "sample_count": stats.sample_count,
         "burn_in": stats.burn_in_fraction,
         "excess_loss": None if model.risk_minimum is None else stats.mean_loss - model.risk_minimum,
     }
-    path = _out(cfg, "simulate.json")
-    _write_json(path, payload)
-    written.append(path)
-    return written
 
 
-def _cmd_flow(cfg: RunConfig) -> list[str]:
+def _cmd_flow(cfg: RunConfig):
     model = _build_model(cfg)
-    steps = max(1, int(round(cfg.t_end / cfg.dt)))
     traj = gradient_flow(
         model, _start_point(cfg, model), cfg.t_end, cfg.dt,
-        record_stride=_auto_stride(cfg, steps),
+        record_stride=_auto_stride(cfg, _step_count(cfg.t_end, cfg.dt)),
     )
-    written = [_out(cfg, "trajectory.csv")]
-    write_trajectory_csv(written[0], traj)
-    if traj.thetas is not None:
-        path = _out(cfg, "snapshots.csv")
-        write_snapshots_csv(path, traj)
-        written.append(path)
-    path = _out(cfg, "flow.json")
-    _write_json(path, {
+    yield from _trajectory_files(traj)
+    yield "flow.json", _write_json, {
         "final_loss": float(traj.losses[-1]),
         "final_grad_norm_sq": float(traj.grad_norms_sq[-1]),
         "t_end": float(traj.times[-1]),
-    })
-    written.append(path)
-    return written
+    }
 
 
-def _cmd_ou(cfg: RunConfig) -> list[str]:
-    steps = max(1, int(round(cfg.t_end / cfg.dt)))
+def _cmd_ou(cfg: RunConfig):
     traj = ou_eigenbasis_run(
         cfg.eigenvalues, cfg.learning_rate, cfg.batch_size, cfg.t_end, cfg.dt,
-        cfg.master_seed, record_stride=_auto_stride(cfg, steps),
+        cfg.master_seed, record_stride=_auto_stride(cfg, _step_count(cfg.t_end, cfg.dt)),
     )
-    written = [_out(cfg, "trajectory.csv")]
-    write_trajectory_csv(written[0], traj)
+    yield "trajectory.csv", write_trajectory_csv, traj
     stats = stationary_stats(traj, cfg.burn_in)
     lam = np.asarray(cfg.eigenvalues, dtype=float)
     payload = {
@@ -446,10 +437,7 @@ def _cmd_ou(cfg: RunConfig) -> list[str]:
     if traj.thetas is not None:
         mask = traj.steps >= cfg.burn_in * traj.steps[-1]
         payload["empirical_variance"] = traj.thetas[mask].var(axis=0).tolist()
-    path = _out(cfg, "ou.json")
-    _write_json(path, payload)
-    written.append(path)
-    return written
+    yield "ou.json", _write_json, payload
 
 
 def _paired(cfg: RunConfig, lr_key: str, bs_key: str, required: bool):
@@ -464,7 +452,7 @@ def _paired(cfg: RunConfig, lr_key: str, bs_key: str, required: bool):
     return list(zip(lrs, bss))
 
 
-def _cmd_scan(cfg: RunConfig) -> list[str]:
+def _cmd_scan(cfg: RunConfig):
     model = _build_model(cfg)
     grid = _paired(cfg, "lr_list", "bs_list", required=True)
     rows = scan_bs_lr(
@@ -475,14 +463,11 @@ def _cmd_scan(cfg: RunConfig) -> list[str]:
         burn_in_fraction=cfg.burn_in, workers=cfg.workers,
         flow_t=cfg.flow_t, flow_dt=cfg.flow_dt,
     )
-    csv_path = _out(cfg, "scan.csv")
-    write_scan_csv(csv_path, rows)
-    json_path = _out(cfg, "scan.json")
-    _write_json(json_path, [row.as_dict() for row in rows])
-    return [csv_path, json_path]
+    yield "scan.csv", write_scan_csv, rows
+    yield "scan.json", _write_json, [row.as_dict() for row in rows]
 
 
-def _cmd_scaling(cfg: RunConfig) -> list[str]:
+def _cmd_scaling(cfg: RunConfig):
     model = _build_model(cfg)
     if cfg.base_lr is None or cfg.base_bs is None:
         raise ConfigError("base_lr and base_bs are required for the scaling command")
@@ -494,14 +479,11 @@ def _cmd_scaling(cfg: RunConfig) -> list[str]:
         record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers,
     )
-    csv_path = _out(cfg, "curves.csv")
-    write_curves_csv(csv_path, curves)
-    json_path = _out(cfg, "scaling.json")
-    _write_json(json_path, curves.as_dict())
-    return [csv_path, json_path]
+    yield "curves.csv", write_curves_csv, curves
+    yield "scaling.json", _write_json, curves.as_dict()
 
 
-def _cmd_clt(cfg: RunConfig) -> list[str]:
+def _cmd_clt(cfg: RunConfig):
     model = _build_model(cfg)
     if cfg.delta_list is None:
         raise ConfigError("delta_list is required for the clt command")
@@ -510,63 +492,50 @@ def _cmd_clt(cfg: RunConfig) -> list[str]:
         cfg.master_seed,
         theta0=None if cfg.theta0 is None else np.asarray(cfg.theta0, float),
     )
-    path = _out(cfg, "clt.json")
-    _write_json(path, report.as_dict())
-    return [path]
+    yield "clt.json", _write_json, report.as_dict()
 
 
-def _cmd_saddle(cfg: RunConfig) -> list[str]:
+def _cmd_saddle(cfg: RunConfig):
     if cfg.hessian_file is None and cfg.hessian_diag is None:
         raise ConfigError("hessian_file or hessian_diag is required for the saddle command")
-    hessian = _matrix_from_keys(cfg, "hessian_file", "hessian_diag", cfg.curvature_scale, cfg.dim)
-    noise = _matrix_from_keys(cfg, "noise_file", "noise_diag", cfg.noise_scale, hessian.dim)
     report = saddle_divergence_experiment(
-        hessian, noise, cfg.learning_rate, cfg.batch_size, cfg.steps,
+        *_quadratic_matrices(cfg), cfg.learning_rate, cfg.batch_size, cfg.steps,
         cfg.replicas, cfg.master_seed,
     )
-    path = _out(cfg, "saddle.json")
-    _write_json(path, report.as_dict())
-    return [path]
+    yield "saddle.json", _write_json, report.as_dict()
 
 
-def _cmd_estimate(cfg: RunConfig) -> list[str]:
+def _cmd_estimate(cfg: RunConfig):
     model = _build_model(cfg)
     report = model_report(
         model, _start_point(cfg, model), cfg.learning_rate, cfg.batch_size,
         probe_count=cfg.probe_count, sample_count=cfg.sample_count, seed=cfg.master_seed,
     )
     print(format_prediction_report(report))
-    path = _out(cfg, "estimate.json")
-    _write_json(path, report.as_dict())
-    return [path]
+    yield "estimate.json", _write_json, report.as_dict()
 
 
-def _cmd_lyapunov(cfg: RunConfig) -> list[str]:
+def _cmd_lyapunov(cfg: RunConfig):
     if cfg.hessian_file is None or cfg.noise_file is None:
         raise ConfigError("hessian_file and noise_file are required for the lyapunov command")
     hessian = read_matrix_csv(cfg.hessian_file)
     noise = read_matrix_csv(cfg.noise_file)
     gamma = solve_lyapunov(hessian, noise)
-    csv_path = _out(cfg, "gamma.csv")
-    write_matrix_csv(csv_path, gamma)
-    json_path = _out(cfg, "lyapunov.json")
-    _write_json(json_path, {
+    yield "gamma.csv", write_matrix_csv, gamma
+    yield "lyapunov.json", _write_json, {
         "dim": gamma.dim,
         "tr_gamma": trace(gamma),
         "tr_h_gamma": float(np.trace(hessian.entries @ gamma.entries)),
         "half_tr_q": 0.5 * trace(noise),
-    })
-    return [csv_path, json_path]
+    }
 
 
-def _cmd_gen_data(cfg: RunConfig) -> list[str]:
+def _cmd_gen_data(cfg: RunConfig):
     features, labels = generate_blobs(
         cfg.example_count, cfg.feature_dim, cfg.class_count, cfg.master_seed,
         center_scale=cfg.center_scale,
     )
-    path = _out(cfg, "dataset.csv")
-    write_dataset_csv(path, features, labels)
-    return [path]
+    yield "dataset.csv", write_dataset_csv, features, labels
 
 
 HANDLERS = {
@@ -586,11 +555,11 @@ HANDLERS = {
 def run(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     print(f"master_seed = {cfg.master_seed}")
-    echo = _out(cfg, "config.resolved")
-    with open(echo, "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg.resolved_lines())
-    written = HANDLERS[cfg.command](cfg)
-    for path in written:
+    for name, writer, *value in HANDLERS[cfg.command](cfg):
+        path = os.path.join(cfg.out_dir, name)
+        writer(path, *value)
         print(f"wrote {path}")
     return 0
 

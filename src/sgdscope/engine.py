@@ -45,7 +45,8 @@ __all__ = [
 # Abort once ||theta||^2 exceeds this (i.e. ||theta|| > 1e12).
 DIVERGENCE_NORM_SQ = 1e24
 # Full parameter snapshots are kept only while their total entry count
-# stays under this budget; beyond it runs fall back to summary records.
+# (records x rows x parameters) stays under this budget; beyond it runs
+# fall back to summary records.
 SNAPSHOT_BUDGET = 10_000_000
 
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -155,9 +156,9 @@ class _Rows:
         self.grad_norms_sq = np.empty((n_rec, rows))
         self.thetas: np.ndarray | None = None
         if snapshots:
-            if param_dim * n_rec > SNAPSHOT_BUDGET:
+            if n_rec * rows * param_dim > SNAPSHOT_BUDGET:
                 warnings.warn(
-                    f"snapshot request of {param_dim * n_rec} entries exceeds the "
+                    f"snapshot request of {n_rec * rows * param_dim} entries exceeds the "
                     f"budget {SNAPSHOT_BUDGET}; keeping summary records only",
                     stacklevel=4,
                 )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import engine
 from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
 from .estimators import _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix
@@ -33,6 +34,8 @@ __all__ = [
     "CurveSet",
     "CltReport",
     "SaddleReport",
+    "derive_seed",
+    "float_bits",
     "parallel_map",
     "scan_bs_lr",
     "linear_scaling_experiment",
@@ -44,6 +47,8 @@ __all__ = [
 
 MINIMUM_GRAD_NORM = 1e-6
 ESCAPE_NORM = 1e6
+# Scaling curves are compared on this many points of the post-burn-in window.
+CURVE_GRID_POINTS = 200
 
 
 class ExperimentError(ValueError):
@@ -317,6 +322,17 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     return (cumulative[idx] - cumulative[lo]) / (idx - lo)
 
 
+def _checked_pair(name: str, lr, m) -> tuple[float, int]:
+    """``(lr, m)`` as a float and an int; raises, naming the pair, unless
+    ``lr`` is finite and positive and ``m`` is a whole number of at least 1."""
+    lr, whole = float(lr), float(m)
+    if not (math.isfinite(lr) and lr > 0 and whole.is_integer() and whole >= 1):
+        raise ExperimentError(
+            f"{name} (lr {lr:g}, bs {m}) needs a finite lr > 0 and an integer bs >= 1"
+        )
+    return lr, int(whole)
+
+
 def _classify_off_ratio(base, off_ratio):
     """Rank off-ratio configs by distance from the base m/lr ratio; the
     closer half is `near_ratio`, the rest `far_ratio`.  Ties break on the
@@ -347,7 +363,6 @@ def linear_scaling_experiment(
     theta0=None,
     record_stride: int | None = None,
     burn_in_fraction: float = 0.5,
-    grid_points: int = 200,
     workers: int = 1,
 ) -> CurveSet:
     """Loss curves under joint (lr, batch) rescaling versus ratio breaking.
@@ -362,7 +377,8 @@ def linear_scaling_experiment(
     task per config.  A classifier's accuracy column is computed from each
     run's snapshots.
     """
-    base_lr, base_m = float(base[0]), int(base[1])
+    base_lr, base_m = _checked_pair("base pair", *base)
+    off_ratio = [_checked_pair("off-ratio pair", lr, m) for lr, m in off_ratio]
     if run_length < 2:
         raise ExperimentError("run_length must be at least 2")
     configs = [("base", "base", base_lr, base_m)]
@@ -372,7 +388,7 @@ def linear_scaling_experiment(
             raise ExperimentError(f"factor {c} drives the batch size below 1")
         configs.append((f"lr{lr:g}_bs{m}", "same_ratio", lr, m))
     for (lr, m), cls in zip(off_ratio, _classify_off_ratio((base_lr, base_m), off_ratio)):
-        configs.append((f"lr{float(lr):g}_bs{int(m)}", cls, float(lr), int(m)))
+        configs.append((f"lr{lr:g}_bs{m}", cls, lr, m))
 
     theta_init = np.zeros(model.param_dim) if theta0 is None else np.asarray(theta0, float)
     stride = record_stride or max(1, run_length // 2000)
@@ -381,7 +397,7 @@ def linear_scaling_experiment(
     results = _run_rows(model, theta_init, runs, run_length, stride, workers, want_accuracy)
 
     horizon = min(traj.times[-1] for traj, _ in results)
-    grid = np.linspace(burn_in_fraction * horizon, horizon, grid_points)
+    grid = np.linspace(burn_in_fraction * horizon, horizon, CURVE_GRID_POINTS)
     smoothed_on_grid = []
     for traj, _ in results:
         window = max(1, int(round(0.01 * len(traj.losses))))
@@ -597,6 +613,11 @@ def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replic
         [derive_seed(seed, r) for r in range(replicas)], steps,
         record_stride=max(1, steps // 5000), snapshots=True,
     )
+    if run.thetas is None:
+        raise ExperimentError(
+            f"the saddle probe needs snapshots, and {replicas} replicas of {steps} steps "
+            f"in {model.param_dim} dimensions exceed the snapshot budget {engine.SNAPSHOT_BUDGET}"
+        )
     for r in range(replicas):
         yield run.trajectory(r), r in run.failures
 
@@ -628,7 +649,9 @@ def saddle_divergence_experiment(
     unstable-direction projection to sit within 30% of
     log(1 + lr * |most negative eigenvalue|), the exact rate of the linear
     recursion.  The report also carries its small-step limit
-    lr * |lambda_neg| as ``expected_slope_small_lr``.
+    lr * |lambda_neg| as ``expected_slope_small_lr``.  The slopes need every
+    replica's snapshots, so a run whose snapshots would exceed the engine's
+    ``SNAPSHOT_BUDGET`` raises :class:`ExperimentError`.
     """
     if replicas < 1 or steps < 1:
         raise ExperimentError("replicas and steps must be positive")

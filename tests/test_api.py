@@ -6,7 +6,8 @@ import inspect
 import numpy as np
 import pytest
 
-from sgdscope import engine
+import sgdscope
+from sgdscope import engine, estimators, experiments, linalg, problems
 from sgdscope.cli import RunConfig
 from sgdscope.linalg import EigenDecomposition, SymMatrix
 from sgdscope.problems import LossModel, ModelError, QuadraticModel, make_quadratic
@@ -28,6 +29,18 @@ def test_every_exported_name_resolves(name):
 def test_removed_names_are_gone(name):
     module = importlib.import_module(name)
     assert [attr for attr in REMOVED if attr in module.__all__ or hasattr(module, attr)] == []
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    listed = [name for module in (engine, estimators, experiments, linalg, problems)
+              for name in module.__all__]
+    assert sgdscope.__all__ == sorted(listed)
+    assert len(set(listed)) == len(listed)
+
+
+def test_scaling_grid_is_a_constant():
+    assert "grid_points" not in inspect.signature(experiments.linear_scaling_experiment).parameters
+    assert experiments.CURVE_GRID_POINTS == 200
 
 
 def test_models_have_no_synthesized_minibatch_grad():

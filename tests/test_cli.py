@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from sgdscope import cli
 from sgdscope.cli import KEY_SPECS, ConfigError, main, parse_config, render_help
 from sgdscope.linalg import SymMatrix, write_matrix_csv
 
@@ -311,6 +312,39 @@ class TestCommands:
             capsys,
         )
         assert (out / "trajectory.csv").exists()
+
+    def test_saddle_and_simulate_report_the_same_dimension_mismatch(self, tmp_path, capsys):
+        for command in ("simulate", "saddle"):
+            code = main([command, "--out_dir", str(tmp_path / command), "--hessian_diag", "1,-1",
+                         "--noise_diag", "1,1,1", "--steps", "10", "--master_seed", "0"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {command}: noise dimension 3 does not match curvature dimension 2\n"
+            )
+
+    @pytest.mark.parametrize("off_lr, off_bs", [("0", "2"), ("-0.1", "2"), ("0.05", "0"),
+                                                ("0.05", "-2")])
+    def test_scaling_rejects_non_positive_off_ratio_pairs(self, tmp_path, capsys, off_lr, off_bs):
+        code = main(["scaling", "--out_dir", str(tmp_path), "--base_lr", "0.05", "--base_bs", "2",
+                     "--off_lr_list", off_lr, "--off_bs_list", off_bs,
+                     "--steps", "100", "--master_seed", "0", "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: scaling: off-ratio pair")
+
+    def test_files_written_before_a_failure_stay(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, payload):
+            raise OSError(f"cannot write {os.path.basename(path)}")
+
+        monkeypatch.setattr(cli, "_write_json", refuse)
+        out = tmp_path / "run"
+        code = main(["flow", "--out_dir", str(out), "--theta0", "1,-1", "--t_end", "1",
+                     "--master_seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: io: cannot write flow.json\n"
+        assert captured.out.splitlines()[1:] == [f"wrote {out / 'trajectory.csv'}",
+                                                 f"wrote {out / 'snapshots.csv'}"]
+        assert sorted(os.listdir(out)) == ["config.resolved", "snapshots.csv", "trajectory.csv"]
 
     def test_dataset_required_for_logistic(self, tmp_path, capsys):
         code = main(["simulate", "--out_dir", str(tmp_path / "x"), "--model", "logistic",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sgdscope
+from sgdscope import engine
 from sgdscope.cli import main
 from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
 from sgdscope.experiments import (
@@ -342,6 +343,16 @@ class TestLinearScaling:
                 model, base=(0.05, 2), factors=[0.001], off_ratio=[], run_length=100, seed=0
             )
 
+    def test_non_positive_pairs_rejected(self):
+        model = isotropic_quadratic(1, 1.0, 0.2)
+        with pytest.raises(ExperimentError, match=r"base pair \(lr 0, bs 2\)"):
+            linear_scaling_experiment(model, base=(0.0, 2), factors=[1], off_ratio=[],
+                                      run_length=100, seed=0)
+        for lr, m in [(0.0, 2), (-0.1, 2), (float("nan"), 2), (0.05, 0), (0.05, -2), (0.05, 2.5)]:
+            with pytest.raises(ExperimentError, match=r"off-ratio pair \(lr"):
+                linear_scaling_experiment(model, base=(0.05, 2), factors=[1],
+                                          off_ratio=[(0.1, 2), (lr, m)], run_length=100, seed=0)
+
 
 class TestCltExperiment:
     def test_errors_shrink_with_step_size(self):
@@ -497,6 +508,15 @@ class TestSaddleDivergence:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_snapshot_budget_counts_every_replica(self, monkeypatch):
+        # 101 records of 2 entries fit a budget of 300 for one replica, not for two.
+        monkeypatch.setattr(engine, "SNAPSHOT_BUDGET", 300)
+        args = (SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.eye(2)), 0.01, 1, 100)
+        saddle_divergence_experiment(*args, 1, 0)
+        with pytest.warns(UserWarning, match="404 entries"):
+            with pytest.raises(ExperimentError, match="snapshot budget 300"):
+                saddle_divergence_experiment(*args, 2, 0)
 
     def test_report_dict_is_json_serializable(self):
         report = saddle_divergence_experiment(
