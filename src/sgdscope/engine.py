@@ -19,6 +19,7 @@ guarded loop, ``_loop_row``, over its own step function.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -208,6 +209,10 @@ class _Rows:
 NOISE_BLOCK = 512
 # Noise entries drawn and transformed at once; bounds the scratch memory.
 _TILE_ENTRIES = 1 << 16
+# Lanes that fill a block's noise tiles at once, each on its own CPU, within
+# one budget of _TILE_ENTRIES: the caller and, given two CPUs, one helper thread.
+_FILL_LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
 
 
 def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -365,6 +370,25 @@ def _put_records(rec: _Rows, first: int, zs: np.ndarray, lam: np.ndarray, back: 
     rec.grad_norms_sq[first:last] = np.multiply(weighted, weighted, out=weighted).sum(axis=-1)
 
 
+def _fill_tiles(states, gens, live, noise_map, noise_scale, tile_rows: int, starts, drawn,
+                mixed) -> None:
+    """The noise of the ``tile_rows``-row tiles beginning at ``starts``: drawn into
+    ``drawn``, transformed and scaled in ``mixed``, stored into ``states``."""
+    b, rows, p = states.shape
+    item = np.dtype((np.void, 8 * p))
+    for s in starts:
+        n = min(tile_rows, rows - s)
+        tile = drawn[: n * b * p].reshape(n, b, p)
+        for i in range(n):
+            if live[s + i]:
+                gens[s + i].standard_normal((b, p), out=tile[i])
+            else:  # a stopped row; the scratch still holds earlier draws
+                tile[i] = 0.0
+        noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
+        noise *= noise_scale[s : s + n]
+        states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
+
+
 def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray, basis: np.ndarray,
               center: np.ndarray, decay: np.ndarray, noise_map: np.ndarray, noise_scales,
               block: int = NOISE_BLOCK) -> None:
@@ -388,7 +412,8 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     steps, snapshots included, are computed in batches.  Every operation
     acts on rows separately and each entry undergoes the same operations in
     the same order as in a plain step loop, so a row's bits depend neither
-    on the other rows nor on the block size.
+    on the other rows, nor on the block size, nor on how many fill lanes
+    (``_FILL_LANES``) drew the block's noise.
     """
     rows, p = out.time_steps.size, lam.size
     grid = out.steps
@@ -405,31 +430,35 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     _put_records(out, 0, z[None].copy(), lam, back, center)
     recorded = 1
     # One block of noise, reused: drawn and transformed a tile of rows at a
-    # time in two scratch arrays sized for the first (longest) block's
-    # tiles, then stored step-major, one p-wide item per (step, row), so
-    # that each step reads one contiguous (rows, p) slice, which the
-    # recurrence overwrites with that step's z.
+    # time in each fill lane's two scratch arrays (``pads``), sized for the
+    # first (longest) block's tiles, then stored step-major, one p-wide item
+    # per (step, row), so that each step reads one contiguous (rows, p)
+    # slice, which the recurrence overwrites with that step's z.
     b = min(block, steps)
     buffer = np.empty((b, rows, p))
-    tile_entries = min(rows * b * p, max(_TILE_ENTRIES, b * p))
-    drawn, mixed = np.empty(tile_entries), np.empty(tile_entries)
-    item = np.dtype((np.void, 8 * p))
+    budget = _TILE_ENTRIES // _FILL_LANES
+    tile_entries = min(rows * b * p, max(budget, b * p))
+    pads = [(np.empty(tile_entries), np.empty(tile_entries))
+            for _ in range(_FILL_LANES if rows > max(1, budget // (b * p)) else 1)]
     done = 0
     while done < steps and live.any():
         b = min(block, steps - done)
         states = buffer[:b]
-        tile_rows = max(1, _TILE_ENTRIES // (b * p))
-        for s in range(0, rows, tile_rows):
-            n = min(tile_rows, rows - s)
-            tile = drawn[: n * b * p].reshape(n, b, p)
-            for i in range(n):
-                if live[s + i]:
-                    gens[s + i].standard_normal((b, p), out=tile[i])
-                else:  # a stopped row; the scratch still holds earlier draws
-                    tile[i] = 0.0
-            noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
-            noise *= noise_scale[s : s + n]
-            states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
+        tile_rows = max(1, budget // (b * p))
+        starts = range(0, rows, tile_rows)
+        fill = partial(_fill_tiles, states, gens, live, noise_map, noise_scale, tile_rows)
+        if len(pads) > 1 and len(starts) > 1:
+            # The caller fills the first half of the tiles, a helper thread the
+            # rest; the helper ends, and its error is raised, before the recurrence.
+            # Imported here, so that runs of one tile never load the thread pool.
+            from concurrent.futures import ThreadPoolExecutor
+            half = (len(starts) + 1) // 2
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                rest = helper.submit(fill, starts[half:], *pads[1])
+                fill(starts[:half], *pads[0])
+            rest.result()
+        else:
+            fill(starts, *pads[0])
         # A diverging row overflows before the guard sees it.
         with np.errstate(over="ignore", invalid="ignore"):
             prev = z

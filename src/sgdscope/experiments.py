@@ -383,9 +383,9 @@ def linear_scaling_experiment(
         raise ExperimentError("run_length must be at least 2")
     configs = [("base", "base", base_lr, base_m)]
     for c in factors:
+        if not (math.isfinite(c) and round(base_m * c) >= 1):
+            raise ExperimentError(f"factor {c} must be finite and keep the batch size at least 1")
         lr, m = base_lr * c, int(round(base_m * c))
-        if m < 1:
-            raise ExperimentError(f"factor {c} drives the batch size below 1")
         configs.append((f"lr{lr:g}_bs{m}", "same_ratio", lr, m))
     for (lr, m), cls in zip(off_ratio, _classify_off_ratio((base_lr, base_m), off_ratio)):
         configs.append((f"lr{lr:g}_bs{m}", cls, lr, m))

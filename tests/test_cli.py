@@ -331,6 +331,14 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: scaling: off-ratio pair")
 
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_scaling_rejects_non_finite_factors(self, tmp_path, capsys, factor):
+        code = main(["scaling", "--out_dir", str(tmp_path), "--base_lr", "0.05", "--base_bs", "2",
+                     "--factors", factor, "--steps", "100", "--master_seed", "0",
+                     "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: scaling: factor {factor} ")
+
     def test_files_written_before_a_failure_stay(self, tmp_path, capsys, monkeypatch):
         def refuse(path, payload):
             raise OSError(f"cannot write {os.path.basename(path)}")

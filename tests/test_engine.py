@@ -1,6 +1,8 @@
 """Dynamics engines: discrete runs, integrators, and the deviation process."""
 
+import concurrent.futures
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -669,9 +671,10 @@ class TestLockstepCore:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rows_match_a_plain_loop_across_tiles_and_blocks(self, dim):
-        # 150 rows, 700 steps, default block: at p = 2 the first block runs
-        # in tiles of 64, 64 and 22 rows and the 188-step second block in one
-        # tile of 150; at p = 3 in 42, 42, 42 and 24, then 116 and 34.
+        # 150 rows, 700 steps, default block: in one fill lane, at p = 2 the
+        # first block runs in tiles of 64, 64 and 22 rows and the 188-step
+        # second block in one tile of 150; at p = 3 in 42, 42, 42 and 24, then
+        # 116 and 34.  Two lanes halve the tiles (see the test below).
         model = dense_quadratic(dim, 7)
         top = model.hessian_eig.eigenvalues[-1]
         theta0 = model.minimizer + 0.5
@@ -698,6 +701,69 @@ class TestLockstepCore:
             else:
                 assert stop is None
                 np.testing.assert_array_equal(run.finals[r], final)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_do_not_depend_on_the_fill_lanes(self, dim, monkeypatch):
+        # Two lanes split 150 rows at p = 2 into tiles of 32 rows, rows 96-149
+        # on the helper thread, then (188-step second block) tiles of 87, rows
+        # 87-149 on the helper; at p = 3 into tiles of 21 (rows 84-149), then
+        # 58 (rows 116-149).  Row 130 trips the guard in the first block, so
+        # the helper lane both stops it and zero-fills it later.
+        model = dense_quadratic(dim, 7)
+        top = model.hessian_eig.eigenvalues[-1]
+        theta0 = model.minimizer + 0.5
+        rows, steps, tripping = 150, 700, 130
+        lrs = np.linspace(0.02, 1.0, rows) / top
+        lrs[tripping] = 2.25 / top
+        ms = [1 + r % 5 for r in range(rows)]
+        seeds = [900 + r for r in range(rows)]
+        helper_starts = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, starts, *args):
+                helper_starts.append(starts.start)
+                return super().submit(fn, starts, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(engine, "_FILL_LANES", lanes)
+            runs.append(_advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=7,
+                                      snapshots=True))
+            assert len(helper_starts) == 2 * (lanes - 1)
+        assert max(helper_starts) <= tripping
+        one, two = (vars(run) for run in runs)
+        assert one.keys() == two.keys()
+        for name in one:
+            if name == "failures":
+                assert list(one[name]) == list(two[name]) == [tripping]
+                a, b = one[name][tripping], two[name][tripping]
+                assert a.step == b.step < NOISE_BLOCK and a.detail == b.detail
+                for column in ("steps", "times", "losses", "grad_norms_sq", "thetas"):
+                    np.testing.assert_array_equal(getattr(a.trajectory, column),
+                                                  getattr(b.trajectory, column))
+            else:
+                np.testing.assert_array_equal(one[name], two[name])
+
+    @pytest.mark.parametrize("failing", [10, 140])
+    def test_a_lane_error_propagates_and_no_thread_outlives_the_call(self, failing, monkeypatch):
+        # Row 10 is in the caller's half of the tiles, row 140 in the helper's.
+        class Broken(Exception):
+            pass
+
+        class BrokenGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                raise Broken("no draws")
+
+        monkeypatch.setattr(engine, "_FILL_LANES", 2)
+        model = dense_quadratic(2, 7)
+        seeds = [400 + r for r in range(150)]
+        # default_rng hands a Generator back unchanged.
+        seeds[failing] = BrokenGenerator(np.random.PCG64(failing))
+        threads = threading.active_count()
+        with pytest.raises(Broken):
+            _advance_rows(model, model.minimizer, np.full(150, 0.1), np.ones(150, int), seeds, 700)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("dim", [3, 20])
     @pytest.mark.parametrize("stride", [1, 7])

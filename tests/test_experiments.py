@@ -343,6 +343,13 @@ class TestLinearScaling:
                 model, base=(0.05, 2), factors=[0.001], off_ratio=[], run_length=100, seed=0
             )
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), 0.0, -2.0])
+    def test_non_finite_and_non_positive_factors_rejected(self, factor):
+        model = isotropic_quadratic(1, 1.0, 0.2)
+        with pytest.raises(ExperimentError, match=rf"factor {factor} must be finite"):
+            linear_scaling_experiment(model, base=(0.05, 2), factors=[1, factor], off_ratio=[],
+                                      run_length=100, seed=0)
+
     def test_non_positive_pairs_rejected(self):
         model = isotropic_quadratic(1, 1.0, 0.2)
         with pytest.raises(ExperimentError, match=r"base pair \(lr 0, bs 2\)"):
