@@ -119,8 +119,6 @@ KEY_SPECS = _spec_list(
     KeySpec("sampling", "choice", "with_replacement", "one of with_replacement|without_replacement",
             choices=("with_replacement", "without_replacement")),
     KeySpec("eigenvalues", "float_list", (1.0,), "comma-separated positive eigenvalues"),
-    KeySpec("probe_count", "int", 64, "probe_count >= 2", check=lambda v: v >= 2),
-    KeySpec("sample_count", "int", 10_000, "sample_count >= 2", check=lambda v: v >= 2),
     KeySpec("replicas", "int", 5, "replicas >= 1", check=lambda v: v >= 1),
     KeySpec("lr_list", "float_list", None, "scan grid learning rates (paired with bs_list)"),
     KeySpec("bs_list", "int_list", None, "scan grid batch sizes (paired with lr_list)"),
@@ -507,10 +505,7 @@ def _cmd_saddle(cfg: RunConfig):
 
 def _cmd_estimate(cfg: RunConfig):
     model = _build_model(cfg)
-    report = model_report(
-        model, _start_point(cfg, model), cfg.learning_rate, cfg.batch_size,
-        probe_count=cfg.probe_count, sample_count=cfg.sample_count, seed=cfg.master_seed,
-    )
+    report = model_report(model, _start_point(cfg, model), cfg.learning_rate, cfg.batch_size)
     print(format_prediction_report(report))
     yield "estimate.json", _write_json, report.as_dict()
 

@@ -75,14 +75,23 @@ class DivergenceError(RuntimeError):
         return type(self), (self.step, self.trajectory, self.detail)
 
 
+# Step counts and batch sizes are stored as int64.
+_COUNT_LIMIT = int(np.iinfo(np.int64).max)
+
+
 def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
     lrs = np.asarray(learning_rates, dtype=float)
     if not (np.isfinite(lrs) & (lrs > 0)).all():
         raise EngineError("learning_rate must be positive and finite")
-    if (np.asarray(batch_sizes) < 1).any():
+    ms = np.asarray(batch_sizes)
+    if (ms < 1).any():
         raise EngineError("batch_size must be at least 1")
+    if (ms > _COUNT_LIMIT).any():
+        raise EngineError(f"batch_size must not exceed {_COUNT_LIMIT}")
     if steps < 1:
         raise EngineError("steps must be at least 1")
+    if steps > _COUNT_LIMIT:
+        raise EngineError(f"steps must not exceed {_COUNT_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -283,9 +292,9 @@ def _advance_rows(
     normal, one entry per row of F.
     """
     lrs = np.array(learning_rates, dtype=float)
+    _check_rows(lrs, batch_sizes, steps)
     hs = lrs if time_steps is None else np.array(time_steps, dtype=float)
     ms = np.array(batch_sizes, dtype=np.int64)
-    _check_rows(lrs, ms, steps)
     noise_scales = (hs / np.sqrt(ms)) * np.sqrt(lrs / hs)
     n = model.example_count
     if surrogate is None and n is not None and ms.max() > n:
@@ -560,9 +569,12 @@ def _step_count(t_end: float, dt: float) -> int:
         raise EngineError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= 0):
         raise EngineError("t_end must be nonnegative and finite")
-    steps = int(round(t_end / dt))
+    # 2**63 already fails the check below, and round(inf) would raise.
+    steps = int(round(min(t_end / dt, 2.0**63)))
     if steps < 1:
         raise EngineError("t_end must cover at least one dt step")
+    if steps > _COUNT_LIMIT:
+        raise EngineError(f"t_end / dt must not exceed {_COUNT_LIMIT} steps")
     return steps
 
 

@@ -25,7 +25,7 @@ from . import engine
 from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
 from .estimators import _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix
-from .problems import DENSE_GUARD, LossModel, QuadraticModel, as_param_vector
+from .problems import LossModel, QuadraticModel, as_param_vector
 
 __all__ = [
     "ExperimentError",
@@ -171,14 +171,6 @@ def _locate_minimum(model: LossModel, theta_start, flow_t: float, flow_dt: float
     return theta, bool(grad @ grad < MINIMUM_GRAD_NORM**2)
 
 
-def _traces_at(model: LossModel, theta: np.ndarray):
-    if model.param_dim > DENSE_GUARD:
-        raise ExperimentError(
-            f"scan needs dense traces; param_dim {model.param_dim} exceeds {DENSE_GUARD}"
-        )
-    return _dense_traces(model, theta, 10_000, 0)
-
-
 def scan_bs_lr(
     model: LossModel,
     grid,
@@ -216,7 +208,7 @@ def scan_bs_lr(
     theta_star, converged = _locate_minimum(model, theta_start, flow_t, flow_dt)
     base_loss = float(model.loss(theta_star))
     if converged:
-        tr_h, tr_sigma2, tr_mixed = _traces_at(model, theta_star)
+        tr_h, tr_sigma2, tr_mixed = _dense_traces(model, theta_star)
     else:
         tr_h = tr_sigma2 = tr_mixed = float("nan")
     stride = record_stride or max(1, run_length // 10_000)

@@ -93,9 +93,9 @@ class LossModel(abc.ABC):
     @abc.abstractmethod
     def hvp(self, theta: ParamVector, vec: ParamVector) -> ParamVector: ...
 
-    def per_example_grad(self, theta: ParamVector, index: int, rng=None) -> ParamVector:
-        """Gradient of one example's loss term."""
-        raise NotImplementedError
+    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
+        """Gradient of one example's loss term (finite data only)."""
+        raise ModelError("model has no finite dataset of per-example gradients")
 
     def per_example_grads(self, theta: ParamVector) -> np.ndarray:
         """All per-example gradients stacked as rows (finite data only)."""
@@ -104,10 +104,6 @@ class LossModel(abc.ABC):
     def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
         """Mean per-example gradient over the given index order (finite data only)."""
         raise ModelError("model has no finite dataset of per-example gradients")
-
-    def synthesized_grad_draws(self, theta: ParamVector, count: int, rng) -> np.ndarray:
-        """`count` fresh per-example gradient draws (synthesized noise only)."""
-        raise ModelError("model does not synthesize gradient noise")
 
     def exact_gradient_covariance(self) -> SymMatrix | None:
         """Exactly known per-example gradient covariance, when constant."""
@@ -118,9 +114,9 @@ class QuadraticModel(LossModel):
     """Quadratic bowl 0.5 (theta - t*)^T H (theta - t*) with Gaussian
     per-example gradient noise of covariance C.
 
-    Per-example gradients are synthesized as ``full_grad + R @ eps`` with
-    ``R R^T = C`` and ``eps`` standard normal, so a size-m minibatch mean has
-    gradient covariance exactly ``C / m``.
+    The engine synthesizes per-example gradients as ``full_grad + R @ eps``
+    with ``R = noise_sqrt`` (``R R^T = C``) and ``eps`` standard normal, so a
+    size-m minibatch mean has gradient covariance exactly ``C / m``.
     """
 
     def __init__(
@@ -185,15 +181,6 @@ class QuadraticModel(LossModel):
     def hvp(self, theta: ParamVector, vec: ParamVector) -> ParamVector:
         return self._h @ vec
 
-    def per_example_grad(self, theta: ParamVector, index: int = 0, rng=None) -> ParamVector:
-        if rng is None:
-            raise ModelError("synthesized per-example gradients need an explicit rng")
-        return self.full_grad(theta) + self.noise_sqrt @ rng.standard_normal(self.param_dim)
-
-    def synthesized_grad_draws(self, theta: ParamVector, count: int, rng) -> np.ndarray:
-        eps = rng.standard_normal((count, self.param_dim))
-        return self.full_grad(theta) + eps @ self.noise_sqrt.T
-
     def exact_gradient_covariance(self) -> SymMatrix | None:
         return self.noise_cov
 
@@ -252,7 +239,7 @@ class LogisticModel(LossModel):
         resid = _sigmoid(self.features @ theta) - self.labels
         return self.features.T @ resid / self.features.shape[0] + self.l2_penalty * theta
 
-    def per_example_grad(self, theta: ParamVector, index: int, rng=None) -> ParamVector:
+    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
         x = self.features[index]
         resid = _sigmoid(float(x @ theta)) - self.labels[index]
         return resid * x + self.l2_penalty * theta
@@ -373,7 +360,7 @@ class MlpModel(LossModel):
     def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
         return self._mean_grad(theta, self.features[indices], self.labels[indices])
 
-    def per_example_grad(self, theta: ParamVector, index: int, rng=None) -> ParamVector:
+    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
         idx = np.array([index])
         return self._mean_grad(theta, self.features[idx], self.labels[idx])
 
@@ -452,26 +439,20 @@ def make_mlp(input_dim: int, hidden_dim: int, class_count: int, dataset, seed: i
     return MlpModel(input_dim, hidden_dim, class_count, features, labels, seed)
 
 
-def gradient_covariance(
-    model: LossModel, theta: ParamVector, sample_count: int, seed: int = 0
-) -> SymMatrix:
+def gradient_covariance(model: LossModel, theta: ParamVector) -> SymMatrix:
     """Per-example gradient covariance at ``theta``.
 
-    Finite-data models use all n examples with population normalization 1/n;
-    synthesized-noise models use ``sample_count`` seeded draws (also with
-    population normalization).
+    The model's exact covariance when it has one; otherwise the covariance
+    of all n per-example gradients, with population normalization 1/n.
     """
     if model.param_dim > DENSE_GUARD:
         raise ModelError(
             f"param_dim {model.param_dim} exceeds the dense guard {DENSE_GUARD}"
         )
-    if model.example_count is not None:
-        grads = model.per_example_grads(theta)
-    else:
-        if sample_count < 2:
-            raise ModelError("synthesized covariance needs sample_count >= 2")
-        rng = np.random.default_rng(seed)
-        grads = model.synthesized_grad_draws(theta, sample_count, rng)
+    exact = model.exact_gradient_covariance()
+    if exact is not None:
+        return exact
+    grads = model.per_example_grads(theta)
     centered = grads - grads.mean(axis=0)
     cov = centered.T @ centered / grads.shape[0]
     return SymMatrix(0.5 * (cov + cov.T))

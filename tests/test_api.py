@@ -8,7 +8,7 @@ import pytest
 
 import sgdscope
 from sgdscope import engine, estimators, experiments, linalg, problems
-from sgdscope.cli import RunConfig
+from sgdscope.cli import KEY_SPECS, RunConfig
 from sgdscope.linalg import EigenDecomposition, SymMatrix
 from sgdscope.problems import LossModel, ModelError, QuadraticModel, make_quadratic
 
@@ -16,7 +16,8 @@ MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine"
            "sgdscope.estimators", "sgdscope.experiments", "sgdscope.cli"]
 
 REMOVED = ["ConvergenceError", "OuSpec", "fluctuation_trajectory",
-           "integrate_fluctuation_covariance", "minibatch_grad"]
+           "integrate_fluctuation_covariance", "minibatch_grad",
+           "hutchinson_trace", "grad_cov_trace", "trace_sigma2_h"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -54,6 +55,12 @@ def test_deleted_internals_stay_gone():
     assert not hasattr(SymMatrix, "from_array")
     assert not hasattr(EigenDecomposition, "reconstruct")
     assert list(inspect.signature(RunConfig).parameters) == ["values"]
+    assert not hasattr(estimators, "_gradient_samples") and not hasattr(experiments, "_traces_at")
+    assert not hasattr(LossModel, "synthesized_grad_draws")
+    assert list(inspect.signature(estimators.model_report).parameters) == [
+        "model", "theta", "learning_rate", "batch_size"]
+    assert list(inspect.signature(problems.gradient_covariance).parameters) == ["model", "theta"]
+    assert "probe_count" not in KEY_SPECS and "sample_count" not in KEY_SPECS
 
 
 def test_quadratic_has_no_dataset_gradients():
@@ -62,3 +69,5 @@ def test_quadratic_has_no_dataset_gradients():
         model.per_example_grads(np.zeros(2))
     with pytest.raises(ModelError, match="no finite dataset"):
         model.batch_grad(np.zeros(2), np.array([0, 1]))
+    with pytest.raises(ModelError, match="no finite dataset"):
+        model.per_example_grad(np.zeros(2), 0)

@@ -10,6 +10,10 @@ import pytest
 from sgdscope import cli
 from sgdscope.cli import KEY_SPECS, ConfigError, main, parse_config, render_help
 from sgdscope.linalg import SymMatrix, write_matrix_csv
+from sgdscope.problems import write_dataset_csv
+
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def write_config(path, text):
@@ -72,6 +76,9 @@ class TestParsing:
             parse_config(["--config", cfg_path])
         with pytest.raises(ConfigError, match="unknown key: stepz"):
             parse_config(["simulate", "--stepz", "5"])
+        for removed in ("probe_count", "sample_count"):
+            with pytest.raises(ConfigError, match=f"unknown key: {removed}"):
+                parse_config(["estimate", f"--{removed}", "8"])
 
     def test_missing_command_rejected(self):
         with pytest.raises(ConfigError, match="no command"):
@@ -338,6 +345,33 @@ class TestCommands:
                      "--workers", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: scaling: factor {factor} ")
+
+    @pytest.mark.parametrize("args, message", [
+        (["scaling", "--base_lr", "0.05", "--base_bs", "2", "--factors", "1e300", "--steps", "100"],
+         f"batch_size must not exceed {INT64_MAX}"),
+        (["simulate", "--batch_size", "100000000000000000000"],
+         f"batch_size must not exceed {INT64_MAX}"),
+        (["simulate", "--steps", "100000000000000000000"], f"steps must not exceed {INT64_MAX}"),
+        (["flow", "--t_end", "1e300", "--dt", "1e-10"], f"t_end / dt must not exceed {INT64_MAX} steps"),
+        (["ou", "--t_end", "1e300", "--dt", "1e-10"], f"t_end / dt must not exceed {INT64_MAX} steps"),
+    ], ids=["scaling-factor", "simulate-batch", "simulate-steps", "flow-horizon", "ou-horizon"])
+    def test_counts_beyond_int64_are_rejected(self, tmp_path, capsys, args, message):
+        code = main(args + ["--out_dir", str(tmp_path), "--master_seed", "0", "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {args[0]}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["scan", "estimate"])
+    def test_models_above_the_dense_guard_are_refused(self, tmp_path, capsys, command):
+        features = 0.01 * np.random.default_rng(0).standard_normal((3, 2001))
+        write_dataset_csv(tmp_path / "wide.csv", features, [0, 1, 0])
+        code = main([command, "--out_dir", str(tmp_path / "run"), "--model", "logistic",
+                     "--dataset_file", str(tmp_path / "wide.csv"), "--l2_penalty", "1",
+                     "--lr_list", "0.1", "--bs_list", "1", "--steps", "10", "--replicas", "1",
+                     "--master_seed", "0", "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {command}: param_dim 2001 exceeds the dense guard 2000\n"
+        )
 
     def test_files_written_before_a_failure_stay(self, tmp_path, capsys, monkeypatch):
         def refuse(path, payload):

@@ -264,8 +264,8 @@ class TestGaussianSgdRun:
                                           ref_point=reference, snapshots=True),
             4000,
         )
-        at_reference = (lr**2 / m) * gradient_covariance(model, reference, 10).entries
-        at_start = (lr**2 / m) * gradient_covariance(model, theta0, 10).entries
+        at_reference = (lr**2 / m) * gradient_covariance(model, reference).entries
+        at_start = (lr**2 / m) * gradient_covariance(model, theta0).entries
         assert relative_cov_error(increments, at_reference) < 0.10
         assert relative_cov_error(increments, at_start) > 0.25
 
@@ -333,7 +333,7 @@ class TestSdeRun:
             lambda seed: sde_run(model, theta0, lr, m, t_end=dt, dt=dt, seed=seed, snapshots=True),
             4000,
         )
-        expected = (lr / m) * dt * gradient_covariance(model, theta0, 10).entries
+        expected = (lr / m) * dt * gradient_covariance(model, theta0).entries
         assert relative_cov_error(increments, expected) < 0.10
         stderr = np.sqrt(np.diag(expected) / len(increments))
         drift = -dt * model.full_grad(theta0)

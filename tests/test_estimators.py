@@ -10,8 +10,6 @@ from sgdscope.estimators import (
     EstimatorError,
     PredictionReport,
     format_prediction_report,
-    grad_cov_trace,
-    hutchinson_trace,
     magnitude_difference,
     model_report,
     predict_excess_loss_w2019,
@@ -19,10 +17,9 @@ from sgdscope.estimators import (
     predict_loss_j2018,
     prediction_report,
     stationary_stats,
-    trace_sigma2_h,
 )
 from sgdscope.linalg import SymMatrix, solve_lyapunov, trace
-from sgdscope.problems import generate_blobs, gradient_covariance, hessian_dense, make_logistic, make_quadratic
+from sgdscope.problems import generate_blobs, gradient_covariance, make_logistic, make_quadratic
 
 from _oracles import random_spd
 
@@ -39,99 +36,6 @@ def quadratic(hessian_diag, cov_diag):
 def small_logistic():
     features, labels = generate_blobs(example_count=60, feature_dim=4, class_count=2, seed=3)
     return make_logistic(features, labels, l2_penalty=1e-3)
-
-
-class TestHutchinsonTrace:
-    def test_diagonal_curvature_is_exact_per_probe(self):
-        model = quadratic([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-        estimate, stderr = hutchinson_trace(model, np.zeros(3), probe_count=10_000, seed=0)
-        assert estimate == 6.0
-        assert stderr == 0.0
-
-    def test_identity_curvature_zero_variance(self):
-        model = quadratic([1.0] * 5, [0.0] * 5)
-        estimate, stderr = hutchinson_trace(model, np.zeros(5), probe_count=50, seed=1)
-        assert estimate == 5.0
-        assert stderr == 0.0
-
-    def test_rotated_curvature_within_three_stderr(self):
-        rng = np.random.default_rng(8)
-        h = random_spd(rng, 6)
-        model = make_quadratic(hessian=h, minimizer=np.zeros(6), noise_cov=np.zeros((6, 6)))
-        estimate, stderr = hutchinson_trace(model, np.zeros(6), probe_count=4000, seed=2)
-        assert stderr > 0
-        assert abs(estimate - np.trace(h)) < 3 * stderr
-
-    def test_logistic_matches_dense_trace(self):
-        model = small_logistic()
-        theta = 0.1 * np.ones(model.param_dim)
-        dense = trace(hessian_dense(model, theta))
-        estimate, stderr = hutchinson_trace(model, theta, probe_count=3000, seed=5)
-        assert abs(estimate - dense) < max(3 * stderr, 1e-9)
-
-    def test_probe_count_validation(self):
-        model = quadratic([1.0], [0.0])
-        with pytest.raises(EstimatorError, match="probe_count"):
-            hutchinson_trace(model, [0.0], probe_count=1, seed=0)
-
-
-class TestGradCovTrace:
-    def test_synthesized_matches_diagonal_trace(self):
-        model = quadratic([1.0, 1.0], [1.0, 2.0])
-        value = grad_cov_trace(model, np.zeros(2), sample_count=100_000, seed=9)
-        assert abs(value / 3.0 - 1.0) < 0.05
-
-    def test_zero_noise_gives_zero(self):
-        model = quadratic([1.0, 2.0], [0.0, 0.0])
-        assert grad_cov_trace(model, np.ones(2), sample_count=100) == 0.0
-
-    def test_matches_covariance_trace_on_finite_data(self):
-        model = small_logistic()
-        theta = 0.05 * np.ones(model.param_dim)
-        direct = grad_cov_trace(model, theta, sample_count=10)
-        via_matrix = trace(gradient_covariance(model, theta, 10))
-        assert abs(direct - via_matrix) < 1e-10
-
-    def test_matches_covariance_trace_on_synthesized_draws(self):
-        model = quadratic([1.0, 2.0], [0.5, 1.5])
-        direct = grad_cov_trace(model, np.zeros(2), sample_count=500, seed=4)
-        via_matrix = trace(gradient_covariance(model, np.zeros(2), 500, seed=4))
-        assert abs(direct - via_matrix) < 1e-10
-
-    def test_sample_count_validation(self):
-        model = quadratic([1.0], [1.0])
-        with pytest.raises(EstimatorError, match="sample_count"):
-            grad_cov_trace(model, [0.0], sample_count=1)
-
-
-class TestTraceSigma2H:
-    def test_identity_covariance_reduces_to_curvature_trace(self):
-        model = quadratic([0.5, 1.5, 2.0], [1.0, 1.0, 1.0])
-        value = trace_sigma2_h(model, np.zeros(3), probe_count=16, seed=0)
-        assert abs(value - 4.0) < 1e-12
-
-    def test_dense_route_is_exact_diagonal_arithmetic(self):
-        model = quadratic([3.0, 4.0], [1.0, 2.0])
-        value = trace_sigma2_h(model, np.zeros(2), probe_count=16, seed=0)
-        assert value == 11.0
-
-    def test_zero_covariance_gives_zero(self):
-        model = quadratic([3.0, 4.0], [0.0, 0.0])
-        assert trace_sigma2_h(model, np.zeros(2), probe_count=16, seed=0) == 0.0
-
-    def test_randomized_route_converges(self):
-        model = quadratic([3.0, 4.0], [1.0, 2.0])
-        value = trace_sigma2_h(
-            model, np.zeros(2), probe_count=40_000, seed=13, dense_limit=0
-        )
-        assert abs(value / 11.0 - 1.0) < 0.05
-
-    def test_randomized_route_finite_data(self):
-        model = small_logistic()
-        theta = 0.05 * np.ones(model.param_dim)
-        dense = trace_sigma2_h(model, theta, probe_count=16, seed=0)
-        sampled = trace_sigma2_h(model, theta, probe_count=5000, seed=21, dense_limit=0)
-        assert abs(sampled / dense - 1.0) < 0.10
 
 
 class TestStationaryStats:
@@ -285,6 +189,26 @@ class TestModelReport:
         assert report.tr_sigma2 == 1.0
         assert report.tr_sigma2_h == 1.5
 
+    @pytest.mark.parametrize(
+        "h_diag, c_diag, tr_mixed",
+        [
+            ([3.0, 4.0], [1.0, 2.0], 11.0),
+            # C = I: tr(C H) is tr(H).
+            ([0.5, 1.5, 2.0], [1.0, 1.0, 1.0], 4.0),
+        ],
+        ids=["diagonal", "identity_noise"],
+    )
+    def test_mixed_trace_is_exact_diagonal_arithmetic(self, h_diag, c_diag, tr_mixed):
+        model = quadratic(h_diag, c_diag)
+        report = model_report(model, np.zeros(len(h_diag)), learning_rate=0.01, batch_size=5)
+        assert report.tr_sigma2_h == tr_mixed
+
+    def test_zero_noise_gives_zero_traces_and_nan_ratio(self):
+        model = quadratic([3.0, 4.0], [0.0, 0.0])
+        report = model_report(model, np.zeros(2), learning_rate=0.01, batch_size=5)
+        assert report.tr_sigma2 == report.tr_sigma2_h == 0.0
+        assert math.isnan(report.magnitude_difference)
+
     def test_matching_curvature_and_noise_coincide_bitwise(self):
         h = random_spd(np.random.default_rng(3), 4)
         model = make_quadratic(hessian=h, minimizer=np.zeros(4), noise_cov=h)
@@ -297,6 +221,6 @@ class TestModelReport:
         model = small_logistic()
         theta = np.zeros(model.param_dim)
         report = model_report(model, theta, learning_rate=0.1, batch_size=4)
-        expected = trace(gradient_covariance(model, theta, 10))
+        expected = trace(gradient_covariance(model, theta))
         assert abs(report.tr_sigma2 - expected) < 1e-12
         assert report.tr_h > 0

@@ -17,7 +17,7 @@ from sgdscope.problems import (
     write_dataset_csv,
 )
 
-from _oracles import fd_gradient, fd_hvp
+from _oracles import fd_gradient, fd_hvp, random_spd
 
 
 def small_quadratic(noise_scale=0.2):
@@ -69,24 +69,6 @@ class TestQuadratic:
         h = SymMatrix.identity(2)
         with pytest.raises(ModelError, match="PSD"):
             make_quadratic(h, np.zeros(2), SymMatrix.diagonal([1.0, -0.5]))
-
-    def test_noise_draw_covariance_matches_target(self):
-        # Monte Carlo oracle: sample covariance of 1e5 synthesized
-        # per-example gradients at the minimizer approaches C.
-        model = make_quadratic(
-            SymMatrix.identity(3), np.zeros(3), SymMatrix.identity(3)
-        )
-        rng = np.random.default_rng(123)
-        draws = model.synthesized_grad_draws(np.zeros(3), 100_000, rng)
-        cov = np.cov(draws.T, bias=True)
-        npt.assert_allclose(np.diag(cov), np.ones(3), rtol=0.05)
-        off = cov - np.diag(np.diag(cov))
-        assert np.abs(off).max() < 0.05
-
-    def test_per_example_grad_requires_rng(self):
-        model = small_quadratic()
-        with pytest.raises(ModelError, match="rng"):
-            model.per_example_grad(np.zeros(5), 0)
 
     def test_flow_solution_decays_offset(self):
         model = small_quadratic()
@@ -239,17 +221,15 @@ class TestMinibatchGrad:
 class TestGradientCovariance:
     def test_zero_noise_quadratic_gives_zero_matrix(self):
         model = small_quadratic(noise_scale=0.0)
-        cov = gradient_covariance(model, np.zeros(5), 100, seed=1)
+        cov = gradient_covariance(model, np.zeros(5))
         npt.assert_array_equal(cov.entries, np.zeros((5, 5)))
 
-    def test_quadratic_sampled_covariance_near_target(self):
-        # Monte Carlo oracle at 1e5 draws.
-        h = SymMatrix.identity(2)
-        c = SymMatrix.diagonal([1.0, 2.0])
-        model = make_quadratic(h, np.zeros(2), c)
-        cov = gradient_covariance(model, np.zeros(2), 100_000, seed=5)
-        npt.assert_allclose(np.diag(cov.entries), [1.0, 2.0], rtol=0.05)
-        assert abs(cov.entries[0, 1]) < 0.05
+    def test_quadratic_returns_its_exact_covariance(self):
+        rng = np.random.default_rng(5)
+        c = random_spd(rng, 3)
+        model = make_quadratic(SymMatrix.identity(3), np.zeros(3), c)
+        cov = gradient_covariance(model, np.ones(3))
+        npt.assert_array_equal(cov.entries, c)
 
     def test_finite_data_population_form(self):
         model = small_logistic()
@@ -259,13 +239,8 @@ class TestGradientCovariance:
         )
         centered = grads - grads.mean(axis=0)
         expected = centered.T @ centered / model.example_count
-        cov = gradient_covariance(model, theta, sample_count=1)
+        cov = gradient_covariance(model, theta)
         npt.assert_allclose(cov.entries, expected, rtol=1e-10, atol=1e-14)
-
-    def test_sample_count_validation(self):
-        model = small_quadratic()
-        with pytest.raises(ModelError, match="sample_count"):
-            gradient_covariance(model, np.zeros(5), 1)
 
 
 class TestHessianDense:
