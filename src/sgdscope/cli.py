@@ -22,6 +22,7 @@ from .engine import (
     EngineError,
     SgdConfig,
     _step_count,
+    _usable_cpus,
     gradient_flow,
     ou_eigenbasis_run,
     sgd_run,
@@ -91,7 +92,7 @@ KEY_SPECS = _spec_list(
     KeySpec("out_dir", "path", "outputs", "output directory (created if missing)"),
     KeySpec("master_seed", "int", None, "master_seed >= 0; absent: drawn and printed",
             check=lambda v: v >= 0),
-    KeySpec("workers", "int", None, f"workers >= 1; absent: ${WORKERS_ENV}, then cpu count",
+    KeySpec("workers", "int", None, f"workers >= 1; absent: ${WORKERS_ENV}, then usable CPU count",
             check=lambda v: v >= 1),
     KeySpec("model", "choice", "quadratic", "one of quadratic|logistic|mlp",
             choices=("quadratic", "logistic", "mlp")),
@@ -302,7 +303,7 @@ def parse_config(argv) -> RunConfig:
         if env is not None:
             values["workers"] = _parse_value(KEY_SPECS["workers"], env)
         else:
-            values["workers"] = os.cpu_count() or 1
+            values["workers"] = _usable_cpus()
     if values["master_seed"] is None:
         values["master_seed"] = int(np.random.SeedSequence().entropy & ((1 << 63) - 1))
     return RunConfig(values)
@@ -432,9 +433,8 @@ def _cmd_ou(cfg: RunConfig):
         "predicted_variance": cfg.learning_rate / (2.0 * cfg.batch_size),
         "sample_count": stats.sample_count,
     }
-    if traj.thetas is not None:
-        mask = traj.steps >= cfg.burn_in * traj.steps[-1]
-        payload["empirical_variance"] = traj.thetas[mask].var(axis=0).tolist()
+    if stats.param_variance is not None:
+        payload["empirical_variance"] = stats.param_variance.tolist()
     yield "ou.json", _write_json, payload
 
 
@@ -456,7 +456,7 @@ def _cmd_scan(cfg: RunConfig):
     rows = scan_bs_lr(
         model, grid, run_length=cfg.steps, replicas=cfg.replicas,
         master_seed=cfg.master_seed,
-        theta_start=None if cfg.theta0 is None else np.asarray(cfg.theta0, float),
+        theta_start=_start_point(cfg, model),
         record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers,
         flow_t=cfg.flow_t, flow_dt=cfg.flow_dt,

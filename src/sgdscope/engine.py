@@ -218,10 +218,16 @@ class _Rows:
 NOISE_BLOCK = 512
 # Noise entries drawn and transformed at once; bounds the scratch memory.
 _TILE_ENTRIES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 # Lanes that fill a block's noise tiles at once, each on its own CPU, within
 # one budget of _TILE_ENTRIES: the caller and, given two CPUs, one helper thread.
-_FILL_LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
+_FILL_LANES = min(2, _usable_cpus())
 
 
 def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Trajectory
-from .linalg import SymMatrix, trace
+from .linalg import trace
 from .problems import LossModel, as_param_vector, gradient_covariance, hessian_dense
 
 __all__ = [
@@ -37,13 +37,14 @@ class EstimatorError(ValueError):
 
 @dataclass(frozen=True)
 class StationaryStats:
-    """Averages over the post-burn-in window of a trajectory."""
+    """Averages over the post-burn-in window of a trajectory; with snapshots,
+    also the per-coordinate variance of the parameters over that window."""
 
     mean_loss: float
     mean_grad_norm_sq: float
     sample_count: int
     burn_in_fraction: float
-    empirical_param_cov: SymMatrix | None = None
+    param_variance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,12 @@ def stationary_stats(traj: Trajectory, burn_in_fraction: float = 0.5) -> Station
     count = int(mask.sum())
     if count < 1:
         raise EstimatorError("no records remain after burn-in")
-    cov = None
-    if traj.thetas is not None:
-        window = traj.thetas[mask]
-        centered = window - window.mean(axis=0)
-        raw = centered.T @ centered / count
-        cov = SymMatrix(0.5 * (raw + raw.T))
     return StationaryStats(
         mean_loss=float(traj.losses[mask].mean()),
         mean_grad_norm_sq=float(traj.grad_norms_sq[mask].mean()),
         sample_count=count,
         burn_in_fraction=burn_in_fraction,
-        empirical_param_cov=cov,
+        param_variance=None if traj.thetas is None else traj.thetas[mask].var(axis=0),
     )
 
 

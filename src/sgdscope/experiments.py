@@ -25,7 +25,7 @@ from . import engine
 from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
 from .estimators import _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix
-from .problems import LossModel, QuadraticModel, as_param_vector
+from .problems import LossModel, QuadraticModel, _check_dense_guard, as_param_vector
 
 __all__ = [
     "ExperimentError",
@@ -198,13 +198,15 @@ def scan_bs_lr(
     not depend on the other grid points.  ``workers`` only fans out the runs
     of finite-data models, one task per run.  A diverging run raises the
     :class:`DivergenceError` with the earliest step of all runs, carrying
-    that run's partial trajectory.
+    that run's partial trajectory.  A model above the dense guard raises
+    ``problems.ModelError`` before the minimum search.
     """
     grid = [(float(lr), int(m)) for lr, m in grid]
     if not grid:
         raise ExperimentError("grid must contain at least one (lr, batch) pair")
     if replicas < 1:
         raise ExperimentError("replicas must be at least 1")
+    _check_dense_guard(model)
     theta_star, converged = _locate_minimum(model, theta_start, flow_t, flow_dt)
     base_loss = float(model.loss(theta_star))
     if converged:
@@ -514,7 +516,7 @@ def clt_experiment(
     eig = model.hessian_eig
     v = eig.eigenvectors
     rates = eig.eigenvalues[:, None] + eig.eigenvalues[None, :]
-    rotated_cov = v.T @ model.exact_gradient_covariance().entries @ v
+    rotated_cov = v.T @ model.noise_cov.entries @ v
 
     errors = []
     predicted_covs = []

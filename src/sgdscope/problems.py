@@ -93,10 +93,6 @@ class LossModel(abc.ABC):
     @abc.abstractmethod
     def hvp(self, theta: ParamVector, vec: ParamVector) -> ParamVector: ...
 
-    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
-        """Gradient of one example's loss term (finite data only)."""
-        raise ModelError("model has no finite dataset of per-example gradients")
-
     def per_example_grads(self, theta: ParamVector) -> np.ndarray:
         """All per-example gradients stacked as rows (finite data only)."""
         raise ModelError("model has no finite dataset of per-example gradients")
@@ -104,10 +100,6 @@ class LossModel(abc.ABC):
     def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
         """Mean per-example gradient over the given index order (finite data only)."""
         raise ModelError("model has no finite dataset of per-example gradients")
-
-    def exact_gradient_covariance(self) -> SymMatrix | None:
-        """Exactly known per-example gradient covariance, when constant."""
-        return None
 
 
 class QuadraticModel(LossModel):
@@ -181,9 +173,6 @@ class QuadraticModel(LossModel):
     def hvp(self, theta: ParamVector, vec: ParamVector) -> ParamVector:
         return self._h @ vec
 
-    def exact_gradient_covariance(self) -> SymMatrix | None:
-        return self.noise_cov
-
     def flow_solution(self, theta0: ParamVector, t: float) -> ParamVector:
         """Closed-form gradient-flow state exp(-H t) applied to the offset."""
         w = self._eig.eigenvalues
@@ -197,7 +186,41 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-class LogisticModel(LossModel):
+class _DatasetModel(LossModel):
+    """A loss that is the mean of one term per row of a finite dataset.
+
+    Subclasses give ``_mean_grad(theta, x, y)``, the mean gradient of the
+    terms of rows ``x`` with labels ``y``; the full gradient is that mean
+    over all rows and a minibatch gradient the mean over an index order.
+    """
+
+    def __init__(self, features, labels, width: int | None = None):
+        x = np.array(features, dtype=float)
+        y = np.array(labels)
+        if x.ndim != 2 or x.shape[0] < 1 or (width is not None and x.shape[1] != width):
+            raise ModelError(f"features must be a non-empty (n, {width or 'd'}) array")
+        if not np.isfinite(x).all():
+            raise ModelError("features must be finite")
+        if y.shape != (x.shape[0],):
+            raise ModelError("labels must align with feature rows")
+        self.features = x
+        self.labels = y
+
+    @property
+    def example_count(self) -> int | None:
+        return self.features.shape[0]
+
+    @abc.abstractmethod
+    def _mean_grad(self, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> ParamVector: ...
+
+    def full_grad(self, theta: ParamVector) -> ParamVector:
+        return self._mean_grad(theta, self.features, self.labels)
+
+    def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
+        return self._mean_grad(theta, self.features[indices], self.labels[indices])
+
+
+class LogisticModel(_DatasetModel):
     """Binary logistic regression with an optional ridge penalty.
 
     Each example contributes log(1 + exp(x.theta)) - y * x.theta plus
@@ -206,52 +229,30 @@ class LogisticModel(LossModel):
     """
 
     def __init__(self, features, labels, l2_penalty: float = 0.0):
-        x = np.array(features, dtype=float)
-        y = np.array(labels)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ModelError("features must be a non-empty (n, d) array")
-        if not np.isfinite(x).all():
-            raise ModelError("features must be finite")
-        if y.shape != (x.shape[0],):
-            raise ModelError("labels must align with feature rows")
-        if not np.isin(y, (0, 1)).all():
+        super().__init__(features, labels)
+        if not np.isin(self.labels, (0, 1)).all():
             raise ModelError("labels must lie in {0, 1}")
         if not l2_penalty >= 0.0:
             raise ModelError("l2 penalty must be nonnegative")
-        self.features = x
-        self.labels = y.astype(float)
+        self.labels = self.labels.astype(float)
         self.l2_penalty = float(l2_penalty)
 
     @property
     def param_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def example_count(self) -> int | None:
-        return self.features.shape[0]
-
     def loss(self, theta: ParamVector) -> float:
         t = self.features @ theta
         data = np.logaddexp(0.0, t) - self.labels * t
         return float(data.mean()) + 0.5 * self.l2_penalty * float(theta @ theta)
 
-    def full_grad(self, theta: ParamVector) -> ParamVector:
-        resid = _sigmoid(self.features @ theta) - self.labels
-        return self.features.T @ resid / self.features.shape[0] + self.l2_penalty * theta
-
-    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
-        x = self.features[index]
-        resid = _sigmoid(float(x @ theta)) - self.labels[index]
-        return resid * x + self.l2_penalty * theta
+    def _mean_grad(self, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> ParamVector:
+        resid = _sigmoid(x @ theta) - y
+        return x.T @ resid / len(y) + self.l2_penalty * theta
 
     def per_example_grads(self, theta: ParamVector) -> np.ndarray:
         resid = _sigmoid(self.features @ theta) - self.labels
         return resid[:, None] * self.features + self.l2_penalty * theta
-
-    def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
-        xb = self.features[indices]
-        resid = _sigmoid(xb @ theta) - self.labels[indices]
-        return xb.T @ resid / len(indices) + self.l2_penalty * theta
 
     def hvp(self, theta: ParamVector, vec: ParamVector) -> ParamVector:
         s = _sigmoid(self.features @ theta)
@@ -266,7 +267,7 @@ class LogisticModel(LossModel):
         return float((predicted == (self.labels > 0.5)).mean())
 
 
-class MlpModel(LossModel):
+class MlpModel(_DatasetModel):
     """One-hidden-layer tanh network with softmax cross-entropy loss.
 
     With one-hot targets the KL divergence to the predictive distribution
@@ -278,19 +279,10 @@ class MlpModel(LossModel):
     def __init__(self, input_dim: int, hidden_dim: int, class_count: int, features, labels, seed: int):
         if input_dim < 1 or hidden_dim < 1 or class_count < 2:
             raise ModelError("network dimensions must be positive (>=2 classes)")
-        x = np.array(features, dtype=float)
-        y = np.array(labels)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != input_dim:
-            raise ModelError(f"features must be a non-empty (n, {input_dim}) array")
-        if not np.isfinite(x).all():
-            raise ModelError("features must be finite")
-        if y.shape != (x.shape[0],):
-            raise ModelError("labels must align with feature rows")
-        y = y.astype(int)
-        if y.min() < 0 or y.max() >= class_count:
+        super().__init__(features, labels, input_dim)
+        self.labels = self.labels.astype(int)
+        if self.labels.min() < 0 or self.labels.max() >= class_count:
             raise ModelError(f"labels must lie in [0, {class_count})")
-        self.features = x
-        self.labels = y
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.class_count = class_count
@@ -310,10 +302,6 @@ class MlpModel(LossModel):
     @property
     def param_dim(self) -> int:
         return sum(self._sizes)
-
-    @property
-    def example_count(self) -> int | None:
-        return self.features.shape[0]
 
     def _unpack(self, theta: ParamVector):
         s1, s2, s3, _ = self._sizes
@@ -339,43 +327,29 @@ class MlpModel(LossModel):
         logp = self._log_softmax(logits)
         return float(-logp[np.arange(len(self.labels)), self.labels].mean())
 
-    def _mean_grad(self, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> ParamVector:
-        w1, _, w2, _ = self._unpack(theta)
+    def _output_errors(self, theta: ParamVector, x: np.ndarray, y: np.ndarray, count: float):
+        """One backward pass: hidden activations, logit errors and
+        pre-activation errors of each row, the errors divided by ``count``."""
+        _, _, w2, _ = self._unpack(theta)
         a1, logits = self._forward(theta, x)
-        probs = np.exp(self._log_softmax(logits))
-        dlogits = probs
+        dlogits = np.exp(self._log_softmax(logits))
         dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits /= len(y)
-        gw2 = dlogits.T @ a1
-        gb2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2
-        dz1 = (1.0 - a1 * a1) * da1
-        gw1 = dz1.T @ x
-        gb1 = dz1.sum(axis=0)
-        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+        dlogits /= count
+        dz1 = (1.0 - a1 * a1) * (dlogits @ w2)
+        return a1, dlogits, dz1
 
-    def full_grad(self, theta: ParamVector) -> ParamVector:
-        return self._mean_grad(theta, self.features, self.labels)
-
-    def batch_grad(self, theta: ParamVector, indices: np.ndarray) -> ParamVector:
-        return self._mean_grad(theta, self.features[indices], self.labels[indices])
-
-    def per_example_grad(self, theta: ParamVector, index: int) -> ParamVector:
-        idx = np.array([index])
-        return self._mean_grad(theta, self.features[idx], self.labels[idx])
+    def _mean_grad(self, theta: ParamVector, x: np.ndarray, y: np.ndarray) -> ParamVector:
+        a1, dlogits, dz1 = self._output_errors(theta, x, y, len(y))
+        return np.concatenate(
+            [(dz1.T @ x).ravel(), dz1.sum(axis=0), (dlogits.T @ a1).ravel(), dlogits.sum(axis=0)]
+        )
 
     def per_example_grads(self, theta: ParamVector) -> np.ndarray:
-        w1, _, w2, _ = self._unpack(theta)
-        x, y = self.features, self.labels
-        a1, logits = self._forward(theta, x)
-        probs = np.exp(self._log_softmax(logits))
-        dlogits = probs
-        dlogits[np.arange(len(y)), y] -= 1.0
-        gw2 = np.einsum("nc,nh->nch", dlogits, a1)
-        da1 = dlogits @ w2
-        dz1 = (1.0 - a1 * a1) * da1
-        gw1 = np.einsum("nh,nd->nhd", dz1, x)
+        x = self.features
+        a1, dlogits, dz1 = self._output_errors(theta, x, self.labels, 1.0)
         n = x.shape[0]
+        gw1 = np.einsum("nh,nd->nhd", dz1, x)
+        gw2 = np.einsum("nc,nh->nch", dlogits, a1)
         return np.concatenate(
             [gw1.reshape(n, -1), dz1, gw2.reshape(n, -1), dlogits], axis=1
         )
@@ -439,19 +413,22 @@ def make_mlp(input_dim: int, hidden_dim: int, class_count: int, dataset, seed: i
     return MlpModel(input_dim, hidden_dim, class_count, features, labels, seed)
 
 
+def _check_dense_guard(model: LossModel) -> None:
+    """Refuse a model too large for dense p x p matrices."""
+    if model.param_dim > DENSE_GUARD:
+        raise ModelError(f"param_dim {model.param_dim} exceeds the dense guard {DENSE_GUARD}")
+
+
 def gradient_covariance(model: LossModel, theta: ParamVector) -> SymMatrix:
     """Per-example gradient covariance at ``theta``.
 
-    The model's exact covariance when it has one; otherwise the covariance
-    of all n per-example gradients, with population normalization 1/n.
+    A quadratic's noise covariance C, which is exact; otherwise the
+    covariance of all n per-example gradients, with population
+    normalization 1/n.
     """
-    if model.param_dim > DENSE_GUARD:
-        raise ModelError(
-            f"param_dim {model.param_dim} exceeds the dense guard {DENSE_GUARD}"
-        )
-    exact = model.exact_gradient_covariance()
-    if exact is not None:
-        return exact
+    _check_dense_guard(model)
+    if isinstance(model, QuadraticModel):
+        return model.noise_cov
     grads = model.per_example_grads(theta)
     centered = grads - grads.mean(axis=0)
     cov = centered.T @ centered / grads.shape[0]
@@ -464,9 +441,8 @@ def hessian_dense(model: LossModel, theta: ParamVector) -> SymMatrix:
     Asymmetry beyond 1e-6 relative (Frobenius) is reported via a warning;
     the symmetrized matrix is returned either way.
     """
+    _check_dense_guard(model)
     p = model.param_dim
-    if p > DENSE_GUARD:
-        raise ModelError(f"param_dim {p} exceeds the dense guard {DENSE_GUARD}")
     cols = np.empty((p, p))
     basis = np.zeros(p)
     for i in range(p):

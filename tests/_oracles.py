@@ -44,3 +44,11 @@ def fd_gradient(loss_fn, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
 def fd_hvp(grad_fn, theta: np.ndarray, vec: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference directional derivative of a gradient field."""
     return (grad_fn(theta + step * vec) - grad_fn(theta - step * vec)) / (2.0 * step)
+
+
+def logistic_example_grad(model, theta: np.ndarray, index: int) -> np.ndarray:
+    """Gradient of one example's ridge-logistic term, (sigma(x.theta) - y) x + l2 theta,
+    with the sigmoid in its textbook form."""
+    x = model.features[index]
+    resid = 1.0 / (1.0 + np.exp(-float(x @ theta))) - model.labels[index]
+    return resid * x + model.l2_penalty * theta

@@ -10,7 +10,14 @@ import sgdscope
 from sgdscope import engine, estimators, experiments, linalg, problems
 from sgdscope.cli import KEY_SPECS, RunConfig
 from sgdscope.linalg import EigenDecomposition, SymMatrix
-from sgdscope.problems import LossModel, ModelError, QuadraticModel, make_quadratic
+from sgdscope.problems import (
+    LogisticModel,
+    LossModel,
+    MlpModel,
+    ModelError,
+    QuadraticModel,
+    make_quadratic,
+)
 
 MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine",
            "sgdscope.estimators", "sgdscope.experiments", "sgdscope.cli"]
@@ -61,6 +68,8 @@ def test_deleted_internals_stay_gone():
         "model", "theta", "learning_rate", "batch_size"]
     assert list(inspect.signature(problems.gradient_covariance).parameters) == ["model", "theta"]
     assert "probe_count" not in KEY_SPECS and "sample_count" not in KEY_SPECS
+    for cls in (LossModel, QuadraticModel, LogisticModel, MlpModel):
+        assert not hasattr(cls, "per_example_grad") and not hasattr(cls, "exact_gradient_covariance")
 
 
 def test_quadratic_has_no_dataset_gradients():
@@ -69,5 +78,3 @@ def test_quadratic_has_no_dataset_gradients():
         model.per_example_grads(np.zeros(2))
     with pytest.raises(ModelError, match="no finite dataset"):
         model.batch_grad(np.zeros(2), np.array([0, 1]))
-    with pytest.raises(ModelError, match="no finite dataset"):
-        model.per_example_grad(np.zeros(2), 0)

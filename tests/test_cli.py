@@ -10,7 +10,8 @@ import pytest
 from sgdscope import cli
 from sgdscope.cli import KEY_SPECS, ConfigError, main, parse_config, render_help
 from sgdscope.linalg import SymMatrix, write_matrix_csv
-from sgdscope.problems import write_dataset_csv
+from sgdscope.experiments import scan_bs_lr
+from sgdscope.problems import generate_blobs, make_mlp, write_dataset_csv
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -119,6 +120,11 @@ class TestParsing:
         monkeypatch.setenv("SGDSCOPE_WORKERS", "zero")
         with pytest.raises(ConfigError, match="workers"):
             parse_config(["simulate"])
+
+    def test_default_workers_count_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("SGDSCOPE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parse_config(["simulate"]).workers == 1
 
     def test_entropy_seed_when_unset(self):
         a = parse_config(["simulate"]).master_seed
@@ -319,6 +325,24 @@ class TestCommands:
             capsys,
         )
         assert (out / "trajectory.csv").exists()
+
+    def test_mlp_scan_starts_at_the_initial_parameters(self, tmp_path, capsys):
+        features, labels = generate_blobs(40, 2, 3, seed=4)
+        write_dataset_csv(tmp_path / "blobs.csv", features, labels)
+        out = tmp_path / "run"
+        self.run_ok(
+            ["scan", "--out_dir", str(out), "--model", "mlp",
+             "--dataset_file", str(tmp_path / "blobs.csv"), "--class_count", "3",
+             "--hidden_dim", "3", "--model_seed", "6", "--lr_list", "0.1", "--bs_list", "4",
+             "--steps", "50", "--replicas", "1", "--flow_t", "0.5", "--flow_dt", "0.05",
+             "--master_seed", "2", "--workers", "1"],
+            capsys,
+        )
+        model = make_mlp(2, 3, 3, (features, labels), seed=6)
+        rows = scan_bs_lr(model, [(0.1, 4)], run_length=50, replicas=1, master_seed=2,
+                          theta_start=model.initial_params, flow_t=0.5, flow_dt=0.05)
+        expected = json.dumps([row.as_dict() for row in rows], indent=2, sort_keys=True)
+        assert (out / "scan.json").read_text() == expected + "\n"
 
     def test_saddle_and_simulate_report_the_same_dimension_mismatch(self, tmp_path, capsys):
         for command in ("simulate", "saddle"):

@@ -55,7 +55,7 @@ class TestStationaryStats:
         stats = stationary_stats(self.make_traj([3.0, 3.0, 3.0]), burn_in_fraction=0.0)
         assert stats.mean_loss == 3.0
         assert stats.sample_count == 3
-        assert stats.empirical_param_cov is None
+        assert stats.param_variance is None
 
     def test_burn_in_window(self):
         stats = stationary_stats(self.make_traj([10.0, 10.0, 2.0, 2.0]), burn_in_fraction=0.5)
@@ -73,9 +73,7 @@ class TestStationaryStats:
         thetas = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         traj = self.make_traj([1.0] * 4, thetas=thetas)
         stats = stationary_stats(traj, burn_in_fraction=0.0)
-        np.testing.assert_allclose(
-            stats.empirical_param_cov.entries, np.diag([1.0, 0.0]), atol=1e-15
-        )
+        np.testing.assert_allclose(stats.param_variance, [1.0, 0.0], atol=1e-15)
 
     def test_burn_in_validation(self):
         traj = self.make_traj([1.0, 2.0])

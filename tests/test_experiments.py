@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sgdscope
-from sgdscope import engine
+from sgdscope import engine, experiments
 from sgdscope.cli import main
 from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
 from sgdscope.experiments import (
@@ -29,6 +29,7 @@ from sgdscope.experiments import (
 from sgdscope.experiments import _median, _saddle_runs
 from sgdscope.linalg import SymMatrix, solve_lyapunov
 from sgdscope.problems import (
+    ModelError,
     QuadraticModel,
     generate_blobs,
     make_logistic,
@@ -236,6 +237,16 @@ class TestScanBsLr:
         with pytest.raises(EngineError, match="exceeds the 30 available examples"):
             scan_bs_lr(blob_logistic(0.1), [(0.1, 31)], run_length=10, replicas=1,
                        master_seed=0, flow_t=0.5, flow_dt=0.05)
+
+    def test_dense_guard_refuses_before_the_minimum_search(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the minimum search ran on a model the guard refuses")
+
+        monkeypatch.setattr(experiments, "gradient_flow", no_flow)
+        features = 0.01 * np.random.default_rng(0).standard_normal((3, 2001))
+        model = make_logistic(features, [0, 1, 0], l2_penalty=1.0)
+        with pytest.raises(ModelError, match="param_dim 2001 exceeds the dense guard 2000"):
+            scan_bs_lr(model, [(0.1, 1)], run_length=10, replicas=1, master_seed=0)
 
     def test_empty_csv_has_the_header(self, tmp_path):
         write_scan_csv(tmp_path / "scan.csv", [])

@@ -17,7 +17,7 @@ from sgdscope.problems import (
     write_dataset_csv,
 )
 
-from _oracles import fd_gradient, fd_hvp, random_spd
+from _oracles import fd_gradient, fd_hvp, logistic_example_grad, random_spd
 
 
 def small_quadratic(noise_scale=0.2):
@@ -188,7 +188,7 @@ class TestMlp:
         stacked = model.per_example_grads(theta)
         for j in range(7):
             npt.assert_allclose(
-                stacked[j], model.per_example_grad(theta, j), rtol=1e-12, atol=1e-14
+                stacked[j], model.batch_grad(theta, np.array([j])), rtol=1e-12, atol=1e-14
             )
 
     def test_init_is_seeded_and_scaled(self):
@@ -202,13 +202,35 @@ class TestMlp:
             make_mlp(2, 2, 2, (x, np.array([0, 1, 2])), seed=0)
 
 
+class TestDatasetChecks:
+    @pytest.mark.parametrize("build", [
+        lambda x, y: make_logistic(x, y),
+        lambda x, y: make_mlp(2, 3, 2, (x, y), seed=0),
+    ], ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("features, labels, message", [
+        (np.ones(3), [0, 1, 0], "features must be a non-empty"),
+        (np.ones((0, 2)), [], "features must be a non-empty"),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), [0, 1], "features must be finite"),
+        (np.ones((3, 2)), [0, 1], "labels must align with feature rows"),
+    ], ids=["1-d", "empty", "non-finite", "misaligned"])
+    def test_both_models_share_the_dataset_checks(self, build, features, labels, message):
+        with pytest.raises(ModelError, match=message):
+            build(features, labels)
+
+    def test_messages_name_the_expected_width(self):
+        with pytest.raises(ModelError, match=r"^features must be a non-empty \(n, d\) array$"):
+            make_logistic(np.ones(3), [0, 1, 0])
+        with pytest.raises(ModelError, match=r"^features must be a non-empty \(n, 2\) array$"):
+            make_mlp(2, 3, 2, (np.ones((3, 4)), [0, 1, 0]), seed=0)
+
+
 class TestMinibatchGrad:
     def test_logistic_batch_matches_direct_summation(self):
         model = small_logistic()
         rng = np.random.default_rng(4)
         theta = rng.normal(size=model.param_dim)
         idx = rng.integers(0, model.example_count, size=7)
-        expected = np.mean([model.per_example_grad(theta, int(j)) for j in idx], axis=0)
+        expected = np.mean([logistic_example_grad(model, theta, int(j)) for j in idx], axis=0)
         npt.assert_allclose(model.batch_grad(theta, idx), expected, rtol=1e-12, atol=1e-15)
 
     def test_all_indices_equals_full_gradient(self):
@@ -235,7 +257,7 @@ class TestGradientCovariance:
         model = small_logistic()
         theta = np.full(model.param_dim, 0.1)
         grads = np.stack(
-            [model.per_example_grad(theta, j) for j in range(model.example_count)]
+            [logistic_example_grad(model, theta, j) for j in range(model.example_count)]
         )
         centered = grads - grads.mean(axis=0)
         expected = centered.T @ centered / model.example_count
