@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output of the bundled configs and demos.
 
-Runs every ``configs/*.cfg`` with ``--workers 1`` and every ``demos/*.py``
+Runs every ``configs/*.cfg`` with ``SGDSCOPE_WORKERS=1`` and every ``demos/*.py``
 in a temporary directory, against the source tree given as the argument
 (default: the checkout this script sits in), and prints ``<sha256>  <name>``
 for each ``.csv``/``.json`` file written and for each demo's stdout.
@@ -30,12 +30,11 @@ def _run(args, cwd: Path, env: dict) -> bytes:
 
 
 def _digests(root: Path, work: Path):
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("SGDSCOPE_WORKERS", None)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), SGDSCOPE_WORKERS="1")
     for cfg in sorted((root / "configs").glob("*.cfg")):
         out = work / "configs" / cfg.stem
         _run([sys.executable, "-m", "sgdscope.cli", "--config", str(cfg),
-              "--out_dir", str(out), "--workers", "1"], work, env)
+              "--out_dir", str(out)], work, env)
     for demo in sorted((root / "demos").glob("*.py")):
         cwd = work / "demos" / demo.stem
         cwd.mkdir(parents=True)

@@ -2,8 +2,8 @@
 
 Usage: ``sgdscope <command> [--config FILE] [--key value ...]``.  Config
 files are flat ``key = value`` text with ``#`` comments; command-line
-flags override file values.  Every accepted key is listed by ``--help``
-with its type, default, and constraint; unknown keys are hard errors.
+flags override file values.  ``<command> --help`` lists the keys a command
+reads, with type, default and constraint; any other key is a hard error.
 All outputs are CSV or JSON files under ``out_dir`` plus a
 ``config.resolved`` echo of the effective configuration.
 """
@@ -53,19 +53,6 @@ from .problems import (
 
 __all__ = ["main", "parse_config", "render_help", "RunConfig", "ConfigError", "KEY_SPECS"]
 
-COMMANDS = (
-    "simulate",
-    "flow",
-    "ou",
-    "scan",
-    "scaling",
-    "clt",
-    "saddle",
-    "estimate",
-    "lyapunov",
-    "gen-data",
-)
-
 WORKERS_ENV = "SGDSCOPE_WORKERS"
 
 
@@ -73,260 +60,25 @@ class ConfigError(ValueError):
     """Raised on malformed or out-of-range configuration input."""
 
 
-@dataclass(frozen=True)
-class KeySpec:
-    name: str
-    kind: str
-    default: object
-    constraint: str
-    check: object = None
-    choices: tuple = ()
-
-
-def _spec_list(*specs: KeySpec) -> dict:
-    return {spec.name: spec for spec in specs}
-
-
-KEY_SPECS = _spec_list(
-    KeySpec("command", "choice", None, "one of " + "|".join(COMMANDS), choices=COMMANDS),
-    KeySpec("out_dir", "path", "outputs", "output directory (created if missing)"),
-    KeySpec("master_seed", "int", None, "master_seed >= 0; absent: drawn and printed",
-            check=lambda v: v >= 0),
-    KeySpec("workers", "int", None, f"workers >= 1; absent: ${WORKERS_ENV}, then usable CPU count",
-            check=lambda v: v >= 1),
-    KeySpec("model", "choice", "quadratic", "one of quadratic|logistic|mlp",
-            choices=("quadratic", "logistic", "mlp")),
-    KeySpec("dim", "int", 2, "dim >= 1", check=lambda v: v >= 1),
-    KeySpec("curvature_scale", "float", 1.0, "curvature_scale > 0", check=lambda v: v > 0),
-    KeySpec("noise_scale", "float", 1.0, "noise_scale >= 0", check=lambda v: v >= 0),
-    KeySpec("hessian_diag", "float_list", None, "comma-separated curvature eigenvalues"),
-    KeySpec("noise_diag", "float_list", None, "comma-separated noise-covariance diagonal"),
-    KeySpec("hessian_file", "path", None, "matrix CSV with a '# dim=<n>' header"),
-    KeySpec("noise_file", "path", None, "matrix CSV with a '# dim=<n>' header"),
-    KeySpec("dataset_file", "path", None, "dataset CSV (label,f0,...)"),
-    KeySpec("l2_penalty", "float", 0.0, "l2_penalty >= 0", check=lambda v: v >= 0),
-    KeySpec("hidden_dim", "int", 8, "hidden_dim >= 1", check=lambda v: v >= 1),
-    KeySpec("class_count", "int", 2, "class_count >= 2", check=lambda v: v >= 2),
-    KeySpec("model_seed", "int", 0, "model_seed >= 0", check=lambda v: v >= 0),
-    KeySpec("theta0", "float_list", None, "comma-separated start point"),
-    KeySpec("learning_rate", "float", 0.01, "learning_rate > 0", check=lambda v: v > 0),
-    KeySpec("batch_size", "int", 1, "batch_size >= 1", check=lambda v: v >= 1),
-    KeySpec("steps", "int", 10_000, "steps >= 1", check=lambda v: v >= 1),
-    KeySpec("t_end", "float", 10.0, "t_end > 0", check=lambda v: v > 0),
-    KeySpec("dt", "float", 0.01, "dt > 0", check=lambda v: v > 0),
-    KeySpec("record_stride", "int", 0, "record_stride >= 0 (0 = auto)", check=lambda v: v >= 0),
-    KeySpec("burn_in", "float", 0.5, "0 <= burn_in < 1", check=lambda v: 0 <= v < 1),
-    KeySpec("snapshots", "bool", False, "true|false"),
-    KeySpec("sampling", "choice", "with_replacement", "one of with_replacement|without_replacement",
-            choices=("with_replacement", "without_replacement")),
-    KeySpec("eigenvalues", "float_list", (1.0,), "comma-separated positive eigenvalues"),
-    KeySpec("replicas", "int", 5, "replicas >= 1", check=lambda v: v >= 1),
-    KeySpec("lr_list", "float_list", None, "scan grid learning rates (paired with bs_list)"),
-    KeySpec("bs_list", "int_list", None, "scan grid batch sizes (paired with lr_list)"),
-    KeySpec("base_lr", "float", None, "base_lr > 0", check=lambda v: v > 0),
-    KeySpec("base_bs", "int", None, "base_bs >= 1", check=lambda v: v >= 1),
-    KeySpec("factors", "float_list", (1.0, 2.0), "joint (lr, bs) scale factors"),
-    KeySpec("off_lr_list", "float_list", (), "off-ratio learning rates (paired with off_bs_list)"),
-    KeySpec("off_bs_list", "int_list", (), "off-ratio batch sizes (paired with off_lr_list)"),
-    KeySpec("delta_list", "float_list", None, "strictly descending step sizes"),
-    KeySpec("flow_t", "float", 50.0, "flow_t > 0", check=lambda v: v > 0),
-    KeySpec("flow_dt", "float", 0.01, "flow_dt > 0", check=lambda v: v > 0),
-    KeySpec("example_count", "int", 200, "example_count >= 2", check=lambda v: v >= 2),
-    KeySpec("feature_dim", "int", 2, "feature_dim >= 1", check=lambda v: v >= 1),
-    KeySpec("center_scale", "float", 0.6, "center_scale > 0", check=lambda v: v > 0),
-)
-
-
-# Input files.  A config file's paths resolve against its directory, and
-# config.resolved, written to out_dir, echoes them relative to out_dir.
-PATH_KEYS = ("hessian_file", "noise_file", "dataset_file")
-
-
-class RunConfig:
-    """Validated, fully-resolved configuration values."""
-
-    def __init__(self, values: dict):
-        self._values = dict(values)
-
-    def __getattr__(self, name):
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def resolved_lines(self) -> str:
-        lines = []
-        for name in sorted(self._values):
-            value = self._values[name]
-            if value is None:
-                continue
-            if name in PATH_KEYS:
-                value = os.path.relpath(value, self.out_dir)
-            lines.append(f"{name} = {_format_value(value)}")
-        return "\n".join(lines) + "\n"
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
-
-
-def _parse_value(spec: KeySpec, raw: str):
-    raw = raw.strip()
-    if spec.kind == "int":
-        try:
-            value = int(raw, 10)
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects an integer, got {raw!r}") from None
-    elif spec.kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects a number, got {raw!r}") from None
-    elif spec.kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            value = True
-        elif low in ("false", "0", "no", "off"):
-            value = False
-        else:
-            raise ConfigError(f"{spec.name} expects true/false, got {raw!r}")
-    elif spec.kind == "float_list":
-        try:
-            value = tuple(float(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects comma-separated numbers, got {raw!r}") from None
-    elif spec.kind == "int_list":
-        try:
-            value = tuple(int(p, 10) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects comma-separated integers, got {raw!r}") from None
-    elif spec.kind == "choice":
-        if raw not in spec.choices:
-            raise ConfigError(f"{spec.name} = {raw!r} violates {spec.constraint}")
-        value = raw
-    else:
-        value = raw
-    if spec.check is not None and not spec.check(value):
-        raise ConfigError(f"{spec.name} = {raw} violates {spec.constraint}")
-    return value
-
-
-def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in KEY_SPECS:
-                raise ConfigError(f"{path}:{lineno}: unknown key: {key}")
-            values[key] = raw.strip()
-    return values
-
-
-def render_help() -> str:
-    lines = [
-        "usage: sgdscope <command> [--config FILE] [--key value ...]",
-        "",
-        "commands: " + " | ".join(COMMANDS),
-        "",
-        "--config FILE reads a flat 'key = value' file (# comments); flags",
-        "given on the command line override file values.  A leading bare",
-        "word selects the command and wins over any 'command' key.",
-        "",
-        "keys:",
-    ]
-    for spec in KEY_SPECS.values():
-        default = "(unset)" if spec.default is None else _format_value(spec.default)
-        lines.append(f"  {spec.name:<16} {spec.kind:<11} default={default:<18} {spec.constraint}")
-    return "\n".join(lines)
-
-
-def parse_config(argv) -> RunConfig:
-    """Merge defaults, the config file, and command-line overrides."""
-    argv = list(argv)
-    positional_command = None
-    if argv and not argv[0].startswith("-"):
-        positional_command = argv.pop(0)
-        if positional_command not in COMMANDS:
-            raise ConfigError(f"unknown command: {positional_command}")
-    overrides = {}
-    config_path = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if not token.startswith("--"):
-            raise ConfigError(f"expected --key, got {token!r}")
-        key = token[2:]
-        if i + 1 >= len(argv):
-            raise ConfigError(f"missing value for --{key}")
-        raw = argv[i + 1]
-        i += 2
-        if key == "config":
-            config_path = raw
-            continue
-        if key not in KEY_SPECS:
-            raise ConfigError(f"unknown key: {key}")
-        overrides[key] = raw
-
-    raw_values = _read_config_file(config_path) if config_path else {}
-    if config_path:
-        # out_dir and command-line paths stay cwd-relative.
-        base = os.path.dirname(os.path.abspath(config_path))
-        for key in PATH_KEYS:
-            if key in raw_values and key not in overrides:
-                raw_values[key] = os.path.join(base, raw_values[key])
-    raw_values.update(overrides)
-
-    values = {name: spec.default for name, spec in KEY_SPECS.items()}
-    for key, raw in raw_values.items():
-        values[key] = _parse_value(KEY_SPECS[key], raw)
-    if positional_command is not None:
-        values["command"] = positional_command
-    if values["command"] is None:
-        raise ConfigError("no command given (positional argument or 'command = ...' key)")
-
-    if values["workers"] is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            values["workers"] = _parse_value(KEY_SPECS["workers"], env)
-        else:
-            values["workers"] = _usable_cpus()
-    if values["master_seed"] is None:
-        values["master_seed"] = int(np.random.SeedSequence().entropy & ((1 << 63) - 1))
-    return RunConfig(values)
-
-
 # ---------------------------------------------------------------------------
 # Model assembly
 
 
-def _matrix_from_keys(cfg: RunConfig, file_key: str, diag_key: str, scale: float, dim: int):
-    path = getattr(cfg, file_key)
+def _matrix_from_keys(cfg: RunConfig, name: str, scale_key: str, dim):
+    """``<name>_file``, else ``<name>_diag``, else ``scale_key`` times the ``dim()`` identity."""
+    path = getattr(cfg, f"{name}_file")
     if path is not None:
         return read_matrix_csv(path)
-    diag = getattr(cfg, diag_key)
+    diag = getattr(cfg, f"{name}_diag")
     if diag is not None:
         return SymMatrix.diagonal(np.asarray(diag, dtype=float))
-    return SymMatrix(scale * np.eye(dim))
+    return SymMatrix(getattr(cfg, scale_key) * np.eye(dim()))
 
 
 def _quadratic_matrices(cfg: RunConfig):
     """The curvature H and noise covariance C a quadratic config names."""
-    hessian = _matrix_from_keys(cfg, "hessian_file", "hessian_diag", cfg.curvature_scale, cfg.dim)
-    noise = _matrix_from_keys(cfg, "noise_file", "noise_diag", cfg.noise_scale, hessian.dim)
+    hessian = _matrix_from_keys(cfg, "hessian", "curvature_scale", lambda: cfg.dim)
+    noise = _matrix_from_keys(cfg, "noise", "noise_scale", lambda: hessian.dim)
     if noise.dim != hessian.dim:
         raise ConfigError(
             f"noise dimension {noise.dim} does not match curvature dimension {hessian.dim}"
@@ -533,18 +285,279 @@ def _cmd_gen_data(cfg: RunConfig):
     yield "dataset.csv", write_dataset_csv, features, labels
 
 
-HANDLERS = {
-    "simulate": _cmd_simulate,
-    "flow": _cmd_flow,
-    "ou": _cmd_ou,
-    "scan": _cmd_scan,
-    "scaling": _cmd_scaling,
-    "clt": _cmd_clt,
-    "saddle": _cmd_saddle,
-    "estimate": _cmd_estimate,
-    "lyapunov": _cmd_lyapunov,
-    "gen-data": _cmd_gen_data,
+# ---------------------------------------------------------------------------
+# Commands.  Each maps to its handler and to the keys it reads; parse_config
+# refuses any other key, and defaults, resolves and echoes only these.
+
+_RUN_KEYS = ("command", "out_dir", "master_seed")
+# The 13 keys _build_model reads, and the start point.
+_MODEL_KEYS = _RUN_KEYS + (
+    "model", "dim", "curvature_scale", "noise_scale", "hessian_diag", "noise_diag", "hessian_file",
+    "noise_file", "dataset_file", "l2_penalty", "hidden_dim", "class_count", "model_seed", "theta0",
+)
+
+COMMANDS = {
+    "simulate": (_cmd_simulate, _MODEL_KEYS + (
+        "learning_rate", "batch_size", "steps", "sampling", "record_stride", "snapshots", "burn_in")),
+    "flow": (_cmd_flow, _MODEL_KEYS + ("t_end", "dt", "record_stride")),
+    "ou": (_cmd_ou, _RUN_KEYS + (
+        "eigenvalues", "learning_rate", "batch_size", "t_end", "dt", "record_stride", "burn_in")),
+    "scan": (_cmd_scan, _MODEL_KEYS + (
+        "lr_list", "bs_list", "steps", "replicas", "record_stride", "burn_in", "workers",
+        "flow_t", "flow_dt")),
+    "scaling": (_cmd_scaling, _MODEL_KEYS + (
+        "base_lr", "base_bs", "factors", "off_lr_list", "off_bs_list", "steps", "record_stride",
+        "burn_in", "workers")),
+    "clt": (_cmd_clt, _MODEL_KEYS + ("delta_list", "batch_size", "t_end", "replicas")),
+    "saddle": (_cmd_saddle, _RUN_KEYS + (
+        "hessian_file", "hessian_diag", "noise_file", "noise_diag", "noise_scale",
+        "learning_rate", "batch_size", "steps", "replicas")),
+    "estimate": (_cmd_estimate, _MODEL_KEYS + ("learning_rate", "batch_size")),
+    "lyapunov": (_cmd_lyapunov, _RUN_KEYS + ("hessian_file", "noise_file")),
+    "gen-data": (_cmd_gen_data, _RUN_KEYS + (
+        "example_count", "feature_dim", "class_count", "center_scale")),
 }
+
+
+@dataclass(frozen=True)
+class KeySpec:
+    name: str
+    kind: str
+    default: object
+    constraint: str
+    check: object = None
+    choices: tuple = ()
+
+
+def _spec_list(*specs: KeySpec) -> dict:
+    return {spec.name: spec for spec in specs}
+
+
+KEY_SPECS = _spec_list(
+    KeySpec("command", "choice", None, "one of " + "|".join(COMMANDS), choices=tuple(COMMANDS)),
+    KeySpec("out_dir", "path", "outputs", "output directory (created if missing)"),
+    KeySpec("master_seed", "int", None, "master_seed >= 0; absent: drawn and printed",
+            check=lambda v: v >= 0),
+    KeySpec("workers", "int", None, f"workers >= 1; absent: ${WORKERS_ENV}, then usable CPU count",
+            check=lambda v: v >= 1),
+    KeySpec("model", "choice", "quadratic", "one of quadratic|logistic|mlp",
+            choices=("quadratic", "logistic", "mlp")),
+    KeySpec("dim", "int", 2, "dim >= 1", check=lambda v: v >= 1),
+    KeySpec("curvature_scale", "float", 1.0, "curvature_scale > 0", check=lambda v: v > 0),
+    KeySpec("noise_scale", "float", 1.0, "noise_scale >= 0", check=lambda v: v >= 0),
+    KeySpec("hessian_diag", "float_list", None, "comma-separated curvature eigenvalues"),
+    KeySpec("noise_diag", "float_list", None, "comma-separated noise-covariance diagonal"),
+    KeySpec("hessian_file", "path", None, "matrix CSV with a '# dim=<n>' header"),
+    KeySpec("noise_file", "path", None, "matrix CSV with a '# dim=<n>' header"),
+    KeySpec("dataset_file", "path", None, "dataset CSV (label,f0,...)"),
+    KeySpec("l2_penalty", "float", 0.0, "l2_penalty >= 0", check=lambda v: v >= 0),
+    KeySpec("hidden_dim", "int", 8, "hidden_dim >= 1", check=lambda v: v >= 1),
+    KeySpec("class_count", "int", 2, "class_count >= 2", check=lambda v: v >= 2),
+    KeySpec("model_seed", "int", 0, "model_seed >= 0", check=lambda v: v >= 0),
+    KeySpec("theta0", "float_list", None, "comma-separated start point"),
+    KeySpec("learning_rate", "float", 0.01, "learning_rate > 0", check=lambda v: v > 0),
+    KeySpec("batch_size", "int", 1, "batch_size >= 1", check=lambda v: v >= 1),
+    KeySpec("steps", "int", 10_000, "steps >= 1", check=lambda v: v >= 1),
+    KeySpec("t_end", "float", 10.0, "t_end > 0", check=lambda v: v > 0),
+    KeySpec("dt", "float", 0.01, "dt > 0", check=lambda v: v > 0),
+    KeySpec("record_stride", "int", 0, "record_stride >= 0 (0 = auto)", check=lambda v: v >= 0),
+    KeySpec("burn_in", "float", 0.5, "0 <= burn_in < 1", check=lambda v: 0 <= v < 1),
+    KeySpec("snapshots", "bool", False, "true|false"),
+    KeySpec("sampling", "choice", "with_replacement", "one of with_replacement|without_replacement",
+            choices=("with_replacement", "without_replacement")),
+    KeySpec("eigenvalues", "float_list", (1.0,), "comma-separated positive eigenvalues"),
+    KeySpec("replicas", "int", 5, "replicas >= 1", check=lambda v: v >= 1),
+    KeySpec("lr_list", "float_list", None, "scan grid learning rates (paired with bs_list)"),
+    KeySpec("bs_list", "int_list", None, "scan grid batch sizes (paired with lr_list)"),
+    KeySpec("base_lr", "float", None, "base_lr > 0", check=lambda v: v > 0),
+    KeySpec("base_bs", "int", None, "base_bs >= 1", check=lambda v: v >= 1),
+    KeySpec("factors", "float_list", (1.0, 2.0), "joint (lr, bs) scale factors"),
+    KeySpec("off_lr_list", "float_list", (), "off-ratio learning rates (paired with off_bs_list)"),
+    KeySpec("off_bs_list", "int_list", (), "off-ratio batch sizes (paired with off_lr_list)"),
+    KeySpec("delta_list", "float_list", None, "strictly descending step sizes"),
+    KeySpec("flow_t", "float", 50.0, "flow_t > 0", check=lambda v: v > 0),
+    KeySpec("flow_dt", "float", 0.01, "flow_dt > 0", check=lambda v: v > 0),
+    KeySpec("example_count", "int", 200, "example_count >= 2", check=lambda v: v >= 2),
+    KeySpec("feature_dim", "int", 2, "feature_dim >= 1", check=lambda v: v >= 1),
+    KeySpec("center_scale", "float", 0.6, "center_scale > 0", check=lambda v: v > 0),
+)
+
+
+# Input files.  A config file's paths resolve against its directory, and
+# config.resolved, written to out_dir, echoes them relative to out_dir.
+PATH_KEYS = ("hessian_file", "noise_file", "dataset_file")
+
+
+class RunConfig:
+    """Validated, fully-resolved configuration values."""
+
+    def __init__(self, values: dict):
+        self._values = dict(values)
+
+    def __getattr__(self, name):
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def resolved_lines(self) -> str:
+        lines = []
+        for name in sorted(self._values):
+            value = self._values[name]
+            if value is None:
+                continue
+            if name in PATH_KEYS:
+                value = os.path.relpath(value, self.out_dir)
+            lines.append(f"{name} = {_format_value(value)}")
+        return "\n".join(lines) + "\n"
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format_value(v) for v in value)
+    return str(value)
+
+
+def _parse_value(spec: KeySpec, raw: str):
+    raw = raw.strip()
+    if spec.kind == "int":
+        try:
+            value = int(raw, 10)
+        except ValueError:
+            raise ConfigError(f"{spec.name} expects an integer, got {raw!r}") from None
+    elif spec.kind == "float":
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{spec.name} expects a number, got {raw!r}") from None
+    elif spec.kind == "bool":
+        low = raw.lower()
+        if low in ("true", "1", "yes", "on"):
+            value = True
+        elif low in ("false", "0", "no", "off"):
+            value = False
+        else:
+            raise ConfigError(f"{spec.name} expects true/false, got {raw!r}")
+    elif spec.kind == "float_list":
+        try:
+            value = tuple(float(p) for p in raw.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"{spec.name} expects comma-separated numbers, got {raw!r}") from None
+    elif spec.kind == "int_list":
+        try:
+            value = tuple(int(p, 10) for p in raw.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"{spec.name} expects comma-separated integers, got {raw!r}") from None
+    elif spec.kind == "choice":
+        if raw not in spec.choices:
+            raise ConfigError(f"{spec.name} = {raw!r} violates {spec.constraint}")
+        value = raw
+    else:
+        value = raw
+    if spec.check is not None and not spec.check(value):
+        raise ConfigError(f"{spec.name} = {raw} violates {spec.constraint}")
+    return value
+
+
+def _read_config_file(path: str) -> dict:
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+            key, _, raw = text.partition("=")
+            key = key.strip()
+            if key not in KEY_SPECS:
+                raise ConfigError(f"{path}:{lineno}: unknown key: {key}")
+            values[key] = raw.strip()
+    return values
+
+
+def render_help(command=None) -> str:
+    keys = KEY_SPECS if command is None else COMMANDS[command][1]
+    lines = [
+        f"usage: sgdscope {command or '<command>'} [--config FILE] [--key value ...]",
+        "",
+        "commands: " + " | ".join(COMMANDS),
+        "",
+        "--config FILE reads a flat 'key = value' file (# comments); flags",
+        "given on the command line override file values.  A leading bare",
+        "word selects the command and wins over any 'command' key.",
+        "",
+        "keys:",
+    ]
+    for spec in (spec for spec in KEY_SPECS.values() if spec.name in keys):
+        default = "(unset)" if spec.default is None else _format_value(spec.default)
+        lines.append(f"  {spec.name:<16} {spec.kind:<11} default={default:<18} {spec.constraint}")
+    return "\n".join(lines)
+
+
+def parse_config(argv) -> RunConfig:
+    """Merge the command's defaults, the config file, and command-line overrides."""
+    argv = list(argv)
+    positional_command = None
+    if argv and not argv[0].startswith("-"):
+        positional_command = argv.pop(0)
+        if positional_command not in COMMANDS:
+            raise ConfigError(f"unknown command: {positional_command}")
+    overrides = {}
+    config_path = None
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if not token.startswith("--"):
+            raise ConfigError(f"expected --key, got {token!r}")
+        key = token[2:]
+        if i + 1 >= len(argv):
+            raise ConfigError(f"missing value for --{key}")
+        raw = argv[i + 1]
+        i += 2
+        if key == "config":
+            config_path = raw
+            continue
+        if key not in KEY_SPECS:
+            raise ConfigError(f"unknown key: {key}")
+        overrides[key] = raw
+
+    raw_values = _read_config_file(config_path) if config_path else {}
+    if config_path:
+        # out_dir and command-line paths stay cwd-relative.
+        base = os.path.dirname(os.path.abspath(config_path))
+        for key in PATH_KEYS:
+            if key in raw_values and key not in overrides:
+                raw_values[key] = os.path.join(base, raw_values[key])
+    raw_values.update(overrides)
+
+    if positional_command is None and "command" not in raw_values:
+        raise ConfigError("no command given (positional argument or 'command = ...' key)")
+    command = positional_command or _parse_value(KEY_SPECS["command"], raw_values["command"])
+    keys = COMMANDS[command][1]
+    ignored = [key for key in raw_values if key not in keys]
+    if ignored:
+        raise ConfigError(f"{command} does not read key(s): {', '.join(ignored)}")
+    values = {name: KEY_SPECS[name].default for name in keys}
+    for key, raw in raw_values.items():
+        values[key] = _parse_value(KEY_SPECS[key], raw)
+    values["command"] = command
+
+    if "workers" in keys and values["workers"] is None:
+        env = os.environ.get(WORKERS_ENV)
+        if env is not None:
+            values["workers"] = _parse_value(KEY_SPECS["workers"], env)
+        else:
+            values["workers"] = _usable_cpus()
+    if values["master_seed"] is None:
+        values["master_seed"] = int(np.random.SeedSequence().entropy & ((1 << 63) - 1))
+    return RunConfig(values)
 
 
 def run(cfg: RunConfig) -> int:
@@ -552,7 +565,7 @@ def run(cfg: RunConfig) -> int:
     print(f"master_seed = {cfg.master_seed}")
     with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg.resolved_lines())
-    for name, writer, *value in HANDLERS[cfg.command](cfg):
+    for name, writer, *value in COMMANDS[cfg.command][0](cfg):
         path = os.path.join(cfg.out_dir, name)
         writer(path, *value)
         print(f"wrote {path}")
@@ -562,7 +575,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if any(token in ("-h", "--help") for token in argv):
-        print(render_help())
+        print(render_help(argv[0] if argv[0] in COMMANDS else None))
         return 0
     try:
         cfg = parse_config(argv)

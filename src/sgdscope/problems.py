@@ -479,6 +479,8 @@ def generate_blobs(
     centers = rng.standard_normal((class_count, feature_dim)) * center_scale
     labels = rng.permutation(np.arange(example_count) % class_count)
     features = centers[labels] + rng.standard_normal((example_count, feature_dim))
+    if not np.isfinite(features).all():
+        raise ModelError(f"center_scale = {center_scale} gives non-finite features")
     return features, labels
 
 

@@ -217,13 +217,13 @@ class TestAcceptance:
         assert _report(9, ok, f"trace-ratio rounding: {a:.4f} -> {round(a, 1)}, "
                               f"{b:.4f} -> {round(b, 1)}")
 
-    def test_10_bundled_configs_are_deterministic(self, tmp_path):
+    def test_10_bundled_configs_are_deterministic(self, tmp_path, monkeypatch):
         configs = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
         assert len(configs) == 10
 
         def outputs_of(cfg_path, out_dir, workers):
-            code = main(["--config", cfg_path, "--out_dir", str(out_dir),
-                         "--workers", str(workers)])
+            monkeypatch.setenv("SGDSCOPE_WORKERS", str(workers))
+            code = main(["--config", cfg_path, "--out_dir", str(out_dir)])
             assert code == 0, f"{cfg_path} failed"
             found = {}
             for path in sorted(glob.glob(str(out_dir / "*"))):

@@ -1,5 +1,6 @@
 """Config parsing, help/key agreement, dispatch, and output determinism."""
 
+import glob
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from sgdscope.problems import generate_blobs, make_mlp, write_dataset_csv
 
 
 INT64_MAX = np.iinfo(np.int64).max
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(path, text):
@@ -39,6 +41,16 @@ class TestHelp:
         assert main(["--help"]) == 0
         assert "usage: sgdscope" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_command_help_lists_exactly_the_keys_it_reads(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"^  (\S+)", capsys.readouterr().out, flags=re.MULTILINE))
+        assert listed == set(cli.COMMANDS[command][1])
+        assert {"command", "out_dir", "master_seed"} <= listed
+        for key in set(KEY_SPECS) - listed:
+            with pytest.raises(ConfigError, match=rf"^{command} does not read key\(s\): {key}$"):
+                parse_config([command, f"--{key}", "1"])
+
 
 class TestParsing:
     def test_minimal_lyapunov_config(self, tmp_path):
@@ -50,7 +62,7 @@ class TestParsing:
         )
         cfg = parse_config(["--config", cfg_path])
         assert cfg.command == "lyapunov"
-        assert cfg.steps == 10_000
+        assert not hasattr(cfg, "steps")
         assert cfg.hessian_file == str(tmp_path / "h.csv")
 
     def test_range_violation_names_the_constraint(self, tmp_path, capsys):
@@ -113,18 +125,32 @@ class TestParsing:
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGDSCOPE_WORKERS", "3")
-        cfg = parse_config(["simulate"])
+        cfg = parse_config(["scan"])
         assert cfg.workers == 3
-        cfg = parse_config(["simulate", "--workers", "2"])
+        cfg = parse_config(["scan", "--workers", "2"])
         assert cfg.workers == 2
         monkeypatch.setenv("SGDSCOPE_WORKERS", "zero")
         with pytest.raises(ConfigError, match="workers"):
-            parse_config(["simulate"])
+            parse_config(["scan"])
 
     def test_default_workers_count_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("SGDSCOPE_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert parse_config(["simulate"]).workers == 1
+        assert parse_config(["scan"]).workers == 1
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("clt", "learning_rate", "0.1"), ("scan", "batch_size", "4"),
+        ("scaling", "learning_rate", "0.1"), ("ou", "snapshots", "false"),
+        ("lyapunov", "model", "quadratic"), ("simulate", "workers", "1"),
+    ])
+    def test_keys_a_command_does_not_read_are_refused(self, tmp_path, capsys, command, key, value):
+        expected = f"error: config: {command} does not read key(s): {key}\n"
+        assert main([command, f"--{key}", value, "--out_dir", str(tmp_path / "flag")]) == 2
+        assert capsys.readouterr().err == expected
+        cfg_path = write_config(tmp_path / "run.cfg", f"command = {command}\n{key} = {value}\n")
+        assert main(["--config", cfg_path, "--out_dir", str(tmp_path / "file")]) == 2
+        assert capsys.readouterr().err == expected
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
     def test_entropy_seed_when_unset(self):
         a = parse_config(["simulate"]).master_seed
@@ -380,7 +406,8 @@ class TestCommands:
         (["ou", "--t_end", "1e300", "--dt", "1e-10"], f"t_end / dt must not exceed {INT64_MAX} steps"),
     ], ids=["scaling-factor", "simulate-batch", "simulate-steps", "flow-horizon", "ou-horizon"])
     def test_counts_beyond_int64_are_rejected(self, tmp_path, capsys, args, message):
-        code = main(args + ["--out_dir", str(tmp_path), "--master_seed", "0", "--workers", "1"])
+        workers = ["--workers", "1"] if args[0] == "scaling" else []
+        code = main(args + ["--out_dir", str(tmp_path), "--master_seed", "0"] + workers)
         assert code == 1
         assert capsys.readouterr().err == f"error: {args[0]}: {message}\n"
 
@@ -388,10 +415,11 @@ class TestCommands:
     def test_models_above_the_dense_guard_are_refused(self, tmp_path, capsys, command):
         features = 0.01 * np.random.default_rng(0).standard_normal((3, 2001))
         write_dataset_csv(tmp_path / "wide.csv", features, [0, 1, 0])
+        scan_only = ["--lr_list", "0.1", "--bs_list", "1", "--steps", "10", "--replicas", "1",
+                     "--workers", "1"] if command == "scan" else []
         code = main([command, "--out_dir", str(tmp_path / "run"), "--model", "logistic",
                      "--dataset_file", str(tmp_path / "wide.csv"), "--l2_penalty", "1",
-                     "--lr_list", "0.1", "--bs_list", "1", "--steps", "10", "--replicas", "1",
-                     "--master_seed", "0", "--workers", "1"])
+                     "--master_seed", "0"] + scan_only)
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {command}: param_dim 2001 exceeds the dense guard 2000\n"
@@ -462,6 +490,31 @@ class TestCommands:
         self.run_ok(["--config", str(first / "config.resolved"), "--out_dir", str(again)], capsys)
         for name in ("gamma.csv", "lyapunov.json"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("config", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))),
+                             ids=os.path.basename)
+    def test_bundled_configs_echo_only_their_command_keys(self, tmp_path, capsys, config):
+        first, again = tmp_path / "first", tmp_path / "again"
+        self.run_ok(["--config", config, "--out_dir", str(first)], capsys)
+        lines = (first / "config.resolved").read_text().splitlines()
+        echoed = dict(line.split(" = ", 1) for line in lines)
+        command = echoed["command"]
+        assert set(echoed) <= set(cli.COMMANDS[command][1])
+        assert ("workers" in echoed) == (command in ("scan", "scaling"))
+        self.run_ok(["--config", str(first / "config.resolved"), "--out_dir", str(again)], capsys)
+        outputs = sorted(p.name for p in first.iterdir() if p.suffix in (".csv", ".json"))
+        assert outputs
+        for name in outputs:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_gen_data_refuses_non_finite_features(self, tmp_path, capsys):
+        code = main(["gen-data", "--out_dir", str(tmp_path), "--center_scale", "inf",
+                     "--master_seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: gen-data: center_scale = inf gives non-finite features\n"
+        )
+        assert not (tmp_path / "dataset.csv").exists()
 
     def test_config_resolved_runs_again_with_command_line_paths(self, tmp_path, capsys,
                                                                 monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -288,6 +290,13 @@ class TestBlobsAndDatasetCsv:
         assert xa.shape == (90, 5)
         counts = np.bincount(ya, minlength=3)
         npt.assert_array_equal(counts, [30, 30, 30])
+
+    @pytest.mark.parametrize("scale, seed", [(np.inf, 0), (1e308, 2)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_blobs_refuse_non_finite_features(self, scale, seed):
+        message = f"center_scale = {scale} gives non-finite features"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            generate_blobs(20, 2, 2, seed, center_scale=scale)
 
     def test_round_trip_exact(self, tmp_path):
         x, y = generate_blobs(12, 3, 2, seed=4)
