@@ -42,7 +42,6 @@ from .experiments import (
 from .linalg import LinAlgError, SymMatrix, read_matrix_csv, solve_lyapunov, trace, write_matrix_csv
 from .problems import (
     ModelError,
-    QuadraticModel,
     generate_blobs,
     make_logistic,
     make_mlp,

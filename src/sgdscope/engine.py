@@ -18,8 +18,11 @@ guarded loop, ``_loop_row``, over its own step function.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -207,7 +210,15 @@ class _Rows:
     def raise_first_divergence(self) -> None:
         """Raise the divergence of the row that tripped first, if any did."""
         if self.failures:
-            raise min(self.failures.values(), key=lambda err: err.step)
+            raise min(self.failures.items(), key=lambda item: (item[1].step, item[0]))[1]
+
+    def view(self, rows: slice) -> _Rows:
+        """Rows ``rows`` as a buffer of views into this one's columns; it shares the failures."""
+        part = copy.copy(self)
+        part.time_steps, part.counts, part.finals = self.time_steps[rows], self.counts[rows], self.finals[rows]
+        part.losses, part.grad_norms_sq = self.losses[:, rows], self.grad_norms_sq[:, rows]
+        part.thetas = None if self.thetas is None else self.thetas[:, rows]
+        return part
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +229,14 @@ class _Rows:
 NOISE_BLOCK = 512
 # Noise entries drawn and transformed at once; bounds the scratch memory.
 _TILE_ENTRIES = 1 << 16
+# Noise entries (rows x steps x p) from which a quadratic run splits its rows
+# (_split_rows); the per-step loop does not halve, so smaller runs lose by it.
+_SPLIT_ENTRIES = 1 << 20
 
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-# Lanes that fill a block's noise tiles at once, each on its own CPU, within
-# one budget of _TILE_ENTRIES: the caller and, given two CPUs, one helper thread.
-_FILL_LANES = min(2, _usable_cpus())
 
 
 def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -296,6 +305,10 @@ def _advance_rows(
     gradient g plus the surrogate noise ``xi F`` with ``(g, F) =
     surrogate(theta)`` (see ``_surrogate_terms``) and ``xi`` standard
     normal, one entry per row of F.
+
+    Given two CPUs, a quadratic run of ``_SPLIT_ENTRIES`` noise entries or
+    more advances half its rows in a forked child (``_split_rows``), which
+    alone advances a ``Generator`` given as the seed of one of those rows.
     """
     lrs = np.array(learning_rates, dtype=float)
     _check_rows(lrs, batch_sizes, steps)
@@ -309,8 +322,14 @@ def _advance_rows(
     out = _Rows(hs, steps, record_stride, p, snapshots)
     if isinstance(model, QuadraticModel):
         lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
-        _lockstep(out, theta0, seeds, steps, lam, vec, model.minimizer, 1.0 - hs[:, None] * lam,
-                  model.noise_sqrt.T @ vec, noise_scales, block)
+        decay, noise_map = 1.0 - hs[:, None] * lam, model.noise_sqrt.T @ vec
+        def lockstep(part: _Rows, which: slice = slice(None)) -> None:
+            _lockstep(part, theta0, seeds[which], steps, lam, vec, model.minimizer, decay[which],
+                      noise_map, noise_scales[which], block)
+        if rows > 1 and rows * steps * p >= _SPLIT_ENTRIES and _usable_cpus() > 1 and hasattr(os, "fork"):
+            _split_rows(out, lockstep)
+        else:
+            lockstep(out)
         return out
     for r in range(rows):
         rng, m = np.random.default_rng(seeds[r]), int(ms[r])
@@ -385,25 +404,6 @@ def _put_records(rec: _Rows, first: int, zs: np.ndarray, lam: np.ndarray, back: 
     rec.grad_norms_sq[first:last] = np.multiply(weighted, weighted, out=weighted).sum(axis=-1)
 
 
-def _fill_tiles(states, gens, live, noise_map, noise_scale, tile_rows: int, starts, drawn,
-                mixed) -> None:
-    """The noise of the ``tile_rows``-row tiles beginning at ``starts``: drawn into
-    ``drawn``, transformed and scaled in ``mixed``, stored into ``states``."""
-    b, rows, p = states.shape
-    item = np.dtype((np.void, 8 * p))
-    for s in starts:
-        n = min(tile_rows, rows - s)
-        tile = drawn[: n * b * p].reshape(n, b, p)
-        for i in range(n):
-            if live[s + i]:
-                gens[s + i].standard_normal((b, p), out=tile[i])
-            else:  # a stopped row; the scratch still holds earlier draws
-                tile[i] = 0.0
-        noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
-        noise *= noise_scale[s : s + n]
-        states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
-
-
 def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray, basis: np.ndarray,
               center: np.ndarray, decay: np.ndarray, noise_map: np.ndarray, noise_scales,
               block: int = NOISE_BLOCK) -> None:
@@ -427,8 +427,7 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     steps, snapshots included, are computed in batches.  Every operation
     acts on rows separately and each entry undergoes the same operations in
     the same order as in a plain step loop, so a row's bits depend neither
-    on the other rows, nor on the block size, nor on how many fill lanes
-    (``_FILL_LANES``) drew the block's noise.
+    on the other rows nor on the block size.
     """
     rows, p = out.time_steps.size, lam.size
     grid = out.steps
@@ -445,35 +444,31 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     _put_records(out, 0, z[None].copy(), lam, back, center)
     recorded = 1
     # One block of noise, reused: drawn and transformed a tile of rows at a
-    # time in each fill lane's two scratch arrays (``pads``), sized for the
-    # first (longest) block's tiles, then stored step-major, one p-wide item
-    # per (step, row), so that each step reads one contiguous (rows, p)
-    # slice, which the recurrence overwrites with that step's z.
+    # time in two scratch arrays sized for the first (longest) block's
+    # tiles, then stored step-major, one p-wide item per (step, row), so
+    # that each step reads one contiguous (rows, p) slice, which the
+    # recurrence overwrites with that step's z.
     b = min(block, steps)
     buffer = np.empty((b, rows, p))
-    budget = _TILE_ENTRIES // _FILL_LANES
-    tile_entries = min(rows * b * p, max(budget, b * p))
-    pads = [(np.empty(tile_entries), np.empty(tile_entries))
-            for _ in range(_FILL_LANES if rows > max(1, budget // (b * p)) else 1)]
+    tile_entries = min(rows * b * p, max(_TILE_ENTRIES, b * p))
+    drawn, mixed = np.empty(tile_entries), np.empty(tile_entries)
+    item = np.dtype((np.void, 8 * p))
     done = 0
     while done < steps and live.any():
         b = min(block, steps - done)
         states = buffer[:b]
-        tile_rows = max(1, budget // (b * p))
-        starts = range(0, rows, tile_rows)
-        fill = partial(_fill_tiles, states, gens, live, noise_map, noise_scale, tile_rows)
-        if len(pads) > 1 and len(starts) > 1:
-            # The caller fills the first half of the tiles, a helper thread the
-            # rest; the helper ends, and its error is raised, before the recurrence.
-            # Imported here, so that runs of one tile never load the thread pool.
-            from concurrent.futures import ThreadPoolExecutor
-            half = (len(starts) + 1) // 2
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                rest = helper.submit(fill, starts[half:], *pads[1])
-                fill(starts[:half], *pads[0])
-            rest.result()
-        else:
-            fill(starts, *pads[0])
+        tile_rows = max(1, _TILE_ENTRIES // (b * p))
+        for s in range(0, rows, tile_rows):
+            n = min(tile_rows, rows - s)
+            tile = drawn[: n * b * p].reshape(n, b, p)
+            for i in range(n):
+                if live[s + i]:
+                    gens[s + i].standard_normal((b, p), out=tile[i])
+                else:  # a stopped row; the scratch still holds earlier draws
+                    tile[i] = 0.0
+            noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
+            noise *= noise_scale[s : s + n]
+            states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
         # A diverging row overflows before the guard sees it.
         with np.errstate(over="ignore", invalid="ignore"):
             prev = z
@@ -508,6 +503,51 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
         done += b
     out.counts[live] = recorded
     out.finals[:] = _rowwise_matmul(z, back) + center
+
+
+def _split_rows(out: _Rows, lockstep) -> None:
+    """``lockstep(part, rows)`` over ``out``: the first half of the rows here, the
+    rest meanwhile in a forked child that pipes back its pickled buffer or error."""
+    half = out.counts.size // 2
+    read, write = os.pipe()
+    with open(read, "rb") as source, open(write, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:  # the child, whose copy of out, failures included, is its own
+            try:
+                source.close()
+                part, error = out.view(slice(half, None)), None
+                try:
+                    lockstep(part, slice(half, None))
+                except BaseException as err:
+                    part, error = None, err
+                try:
+                    data = pickle.dumps((error, part))
+                except Exception:
+                    data = pickle.dumps((EngineError(f"rows {half}+ raised unpicklable {error!r}"), None))
+                sink.write(data)
+                sink.close()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        sink.close()
+        try:
+            lockstep(out.view(slice(half)), slice(half))
+            data = source.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise EngineError(f"the process advancing rows {half}+ ended with status {status}")
+    error, part = pickle.loads(data)
+    if error is not None:
+        raise error
+    out.losses[:, half:], out.grad_norms_sq[:, half:] = part.losses, part.grad_norms_sq
+    if out.thetas is not None:
+        out.thetas[:, half:] = part.thetas
+    out.counts[half:], out.finals[half:] = part.counts, part.finals
+    out.failures.update((half + r, err) for r, err in part.failures.items())
 
 
 def sgd_run(
@@ -715,7 +755,7 @@ def sgd_replica_ensemble(
         record_stride=steps,
     )
     if run.failures:
-        row, err = min(run.failures.items(), key=lambda item: item[1].step)
+        row, err = min(run.failures.items(), key=lambda item: (item[1].step, item[0]))
         raise EngineError(f"replica ensemble diverged: replica {row}, {err}")
     return run.finals
 

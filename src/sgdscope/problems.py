@@ -476,12 +476,13 @@ def generate_blobs(
     if example_count < 1 or feature_dim < 1 or class_count < 2:
         raise ModelError("need example_count >= 1, feature_dim >= 1, class_count >= 2")
     rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((class_count, feature_dim)) * center_scale
-    labels = rng.permutation(np.arange(example_count) % class_count)
-    features = centers[labels] + rng.standard_normal((example_count, feature_dim))
-    if not np.isfinite(features).all():
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        centers = rng.standard_normal((class_count, feature_dim)) * center_scale
+    # Unit noise added to finite centres cannot overflow, so the features stay finite.
+    if not np.isfinite(centers).all():
         raise ModelError(f"center_scale = {center_scale} gives non-finite features")
-    return features, labels
+    labels = rng.permutation(np.arange(example_count) % class_count)
+    return centers[labels] + rng.standard_normal((example_count, feature_dim)), labels
 
 
 def write_dataset_csv(path, features, labels) -> None:

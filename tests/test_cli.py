@@ -4,6 +4,9 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +517,18 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: gen-data: center_scale = inf gives non-finite features\n"
         )
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_gen_data_overflow_prints_only_the_error_line(self, tmp_path):
+        # In a fresh process, so that a numpy warning would reach stderr.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "sgdscope.cli", "gen-data", "--out_dir", str(tmp_path),
+             "--center_scale", "1e308", "--master_seed", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: gen-data: center_scale = 1e+308 gives non-finite features\n"
         assert not (tmp_path / "dataset.csv").exists()
 
     def test_config_resolved_runs_again_with_command_line_paths(self, tmp_path, capsys,

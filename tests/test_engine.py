@@ -1,8 +1,7 @@
 """Dynamics engines: discrete runs, integrators, and the deviation process."""
 
-import concurrent.futures
+import os
 import pickle
-import threading
 import warnings
 
 import numpy as np
@@ -617,6 +616,28 @@ def dense_quadratic(dim, seed):
     )
 
 
+class Broken(Exception):
+    """A failed draw; defined at module level, so it pickles."""
+
+
+class BrokenGenerator(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        raise Broken("no draws")
+
+
+def spy_on_fork(monkeypatch) -> list:
+    """The pids ``os.fork`` returns to this process from now on."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
 def in_order_matmul(x, a):
     # x @ a with each sum x_k a_kj accumulated strictly in index order.
     return np.add.accumulate(x[..., :, None] * a, axis=-2)[..., -1, :]
@@ -671,10 +692,10 @@ class TestLockstepCore:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rows_match_a_plain_loop_across_tiles_and_blocks(self, dim):
-        # 150 rows, 700 steps, default block: in one fill lane, at p = 2 the
-        # first block runs in tiles of 64, 64 and 22 rows and the 188-step
-        # second block in one tile of 150; at p = 3 in 42, 42, 42 and 24, then
-        # 116 and 34.  Two lanes halve the tiles (see the test below).
+        # 150 rows, 700 steps, default block: at p = 2 the first block runs in
+        # tiles of 64, 64 and 22 rows and the 188-step second block in one tile
+        # of 150; at p = 3 in 42, 42, 42 and 24, then 116 and 34.  The run is
+        # too small to split its rows (see the test below).
         model = dense_quadratic(dim, 7)
         top = model.hessian_eig.eigenvalues[-1]
         theta0 = model.minimizer + 0.5
@@ -703,12 +724,10 @@ class TestLockstepCore:
                 np.testing.assert_array_equal(run.finals[r], final)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_rows_do_not_depend_on_the_fill_lanes(self, dim, monkeypatch):
-        # Two lanes split 150 rows at p = 2 into tiles of 32 rows, rows 96-149
-        # on the helper thread, then (188-step second block) tiles of 87, rows
-        # 87-149 on the helper; at p = 3 into tiles of 21 (rows 84-149), then
-        # 58 (rows 116-149).  Row 130 trips the guard in the first block, so
-        # the helper lane both stops it and zero-fills it later.
+    def test_rows_do_not_depend_on_the_row_split(self, dim, monkeypatch):
+        # Split, rows 75-149 run in the forked child.  Row 130 trips the guard
+        # in the first block there, and its failure comes back with the
+        # child's buffer.
         model = dense_quadratic(dim, 7)
         top = model.hessian_eig.eigenvalues[-1]
         theta0 = model.minimizer + 0.5
@@ -717,21 +736,14 @@ class TestLockstepCore:
         lrs[tripping] = 2.25 / top
         ms = [1 + r % 5 for r in range(rows)]
         seeds = [900 + r for r in range(rows)]
-        helper_starts = []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn, starts, *args):
-                helper_starts.append(starts.start)
-                return super().submit(fn, starts, *args)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        forks = spy_on_fork(monkeypatch)
         runs = []
-        for lanes in (1, 2):
-            monkeypatch.setattr(engine, "_FILL_LANES", lanes)
+        for entries in (rows * steps * dim + 1, rows * steps * dim):  # one process, then split
+            monkeypatch.setattr(engine, "_SPLIT_ENTRIES", entries)
             runs.append(_advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=7,
                                       snapshots=True))
-            assert len(helper_starts) == 2 * (lanes - 1)
-        assert max(helper_starts) <= tripping
+        assert len(forks) == 1
         one, two = (vars(run) for run in runs)
         assert one.keys() == two.keys()
         for name in one:
@@ -746,24 +758,59 @@ class TestLockstepCore:
                 np.testing.assert_array_equal(one[name], two[name])
 
     @pytest.mark.parametrize("failing", [10, 140])
-    def test_a_lane_error_propagates_and_no_thread_outlives_the_call(self, failing, monkeypatch):
-        # Row 10 is in the caller's half of the tiles, row 140 in the helper's.
-        class Broken(Exception):
-            pass
-
-        class BrokenGenerator(np.random.Generator):
-            def standard_normal(self, *args, **kwargs):
-                raise Broken("no draws")
-
-        monkeypatch.setattr(engine, "_FILL_LANES", 2)
+    def test_an_error_in_either_half_propagates_and_the_child_is_reaped(self, failing,
+                                                                        monkeypatch):
+        # Row 10 is in the caller's half, row 140 in the child's.
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_SPLIT_ENTRIES", 1)
+        forks = spy_on_fork(monkeypatch)
         model = dense_quadratic(2, 7)
         seeds = [400 + r for r in range(150)]
         # default_rng hands a Generator back unchanged.
         seeds[failing] = BrokenGenerator(np.random.PCG64(failing))
-        threads = threading.active_count()
-        with pytest.raises(Broken):
+        with pytest.raises(Broken, match="no draws"):
             _advance_rows(model, model.minimizer, np.full(150, 0.1), np.ones(150, int), seeds, 700)
-        assert threading.active_count() == threads
+        (pid,) = forks
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize("ending", ["unpicklable", "exit"])
+    def test_a_child_that_cannot_send_its_error_gives_an_engine_error(self, ending, monkeypatch):
+        class Local(Exception):
+            pass
+
+        class Failing(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                if ending == "exit":
+                    os._exit(3)
+                raise Local("no draws")
+
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_SPLIT_ENTRIES", 1)
+        forks = spy_on_fork(monkeypatch)
+        model = dense_quadratic(2, 7)
+        seeds = [400 + r for r in range(8)]
+        seeds[6] = Failing(np.random.PCG64(6))
+        message = "ended with status 3" if ending == "exit" else "raised unpicklable Local"
+        with pytest.raises(EngineError, match=message):
+            _advance_rows(model, model.minimizer, np.full(8, 0.1), np.ones(8, int), seeds, 50)
+        (pid,) = forks
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize("host", ["one_cpu", "no_fork"])
+    def test_a_run_without_two_cpus_or_fork_does_not_split(self, host, monkeypatch):
+        model = dense_quadratic(2, 7)
+        args = (model, model.minimizer + 0.5, np.full(6, 0.1), np.ones(6, int), list(range(6)), 50)
+        whole = _advance_rows(*args)
+        monkeypatch.setattr(engine, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1 if host == "one_cpu" else 2)
+        forks = spy_on_fork(monkeypatch)
+        if host == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        run = _advance_rows(*args)
+        assert forks == []
+        np.testing.assert_array_equal(run.finals, whole.finals)
 
     @pytest.mark.parametrize("dim", [3, 20])
     @pytest.mark.parametrize("stride", [1, 7])

@@ -64,6 +64,14 @@ class TestParallelMap:
         items = list(range(5))
         assert parallel_map(_cube, items, workers=3) == parallel_map(_cube, items, workers=1)
 
+    def test_import_does_not_load_the_process_pool(self):
+        script = "import sys, sgdscope\nprint('concurrent.futures.process' in sys.modules)\n"
+        src = str(Path(sgdscope.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_seed_derivation_is_stable_and_distinct(self):
         a = derive_seed(7, 0, 1)
         assert a == derive_seed(7, 0, 1)
