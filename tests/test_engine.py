@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -758,9 +759,10 @@ class TestLockstepCore:
                 np.testing.assert_array_equal(one[name], two[name])
 
     @pytest.mark.parametrize("failing", [10, 140])
-    def test_an_error_in_either_half_propagates_and_the_child_is_reaped(self, failing,
-                                                                        monkeypatch):
-        # Row 10 is in the caller's half, row 140 in the child's.
+    def test_a_lane_error_propagates_and_no_thread_outlives_the_call(self, failing, monkeypatch):
+        # The two lanes are the caller's half (row 10) and the forked child's
+        # (row 140).  The error propagates, no thread is left and the child
+        # is reaped.
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "_SPLIT_ENTRIES", 1)
         forks = spy_on_fork(monkeypatch)
@@ -768,8 +770,10 @@ class TestLockstepCore:
         seeds = [400 + r for r in range(150)]
         # default_rng hands a Generator back unchanged.
         seeds[failing] = BrokenGenerator(np.random.PCG64(failing))
+        threads = threading.active_count()
         with pytest.raises(Broken, match="no draws"):
             _advance_rows(model, model.minimizer, np.full(150, 0.1), np.ones(150, int), seeds, 700)
+        assert threading.active_count() == threads
         (pid,) = forks
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
