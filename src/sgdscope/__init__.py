@@ -1,7 +1,7 @@
 """Numerical laboratory for SGD stationary fluctuations near minima.
 
 The package simulates minibatch SGD and its continuous-time surrogates
-(gradient flow, eigenbasis diffusion, Euler-Maruyama SDE), solves the
+(gradient flow, eigenbasis diffusion), solves the
 associated Lyapunov equations, and checks measured stationary behavior
 against closed-form predictions built from the curvature trace and the
 gradient-noise trace.

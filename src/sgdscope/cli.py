@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    SAMPLING_MODES,
     DivergenceError,
     EngineError,
     SgdConfig,
@@ -362,8 +363,8 @@ KEY_SPECS = _spec_list(
     KeySpec("record_stride", "int", 0, "record_stride >= 0 (0 = auto)", check=lambda v: v >= 0),
     KeySpec("burn_in", "float", 0.5, "0 <= burn_in < 1", check=lambda v: 0 <= v < 1),
     KeySpec("snapshots", "bool", False, "true|false"),
-    KeySpec("sampling", "choice", "with_replacement", "one of with_replacement|without_replacement",
-            choices=("with_replacement", "without_replacement")),
+    KeySpec("sampling", "choice", "with_replacement", "one of " + "|".join(SAMPLING_MODES),
+            choices=SAMPLING_MODES),
     KeySpec("eigenvalues", "float_list", (1.0,), "comma-separated positive eigenvalues"),
     KeySpec("replicas", "int", 5, "replicas >= 1", check=lambda v: v >= 1),
     KeySpec("lr_list", "float_list", None, "scan grid learning rates (paired with bs_list)"),

@@ -8,8 +8,7 @@ norm passes 1e12 or a recorded loss stops being finite.
 
 Every run records into one buffer, ``_Rows``.  The discrete SGD runs
 (``sgd_run``, ``gaussian_sgd_run``, ``sgd_replica_ensemble`` and the
-experiments' runs) and the Euler-Maruyama integrator ``sde_run`` advance one
-row per learning rate, time step (``dt`` for ``sde_run``), batch size and
+experiments' runs) advance one row per learning rate, batch size and
 generator through ``_advance_rows``.  Quadratic rows advance together in
 ``_lockstep``, which also runs the exact OU diffusion ``ou_eigenbasis_run``;
 every other row, the deterministic RK4 ``gradient_flow`` included, is one
@@ -38,7 +37,6 @@ __all__ = [
     "Trajectory",
     "sgd_run",
     "gaussian_sgd_run",
-    "sde_run",
     "gradient_flow",
     "ou_eigenbasis_run",
     "sgd_replica_ensemble",
@@ -207,10 +205,15 @@ class _Rows:
             thetas=None if self.thetas is None else self.thetas[:k, row],
         )
 
+    def first_divergence(self) -> tuple[int, DivergenceError] | None:
+        """``(row, error)`` of the row that tripped first (earliest step, then row), if any did."""
+        return min(self.failures.items(), key=lambda item: (item[1].step, item[0]), default=None)
+
     def raise_first_divergence(self) -> None:
         """Raise the divergence of the row that tripped first, if any did."""
-        if self.failures:
-            raise min(self.failures.items(), key=lambda item: (item[1].step, item[0]))[1]
+        first = self.first_divergence()
+        if first:
+            raise first[1]
 
     def view(self, rows: slice) -> _Rows:
         """Rows ``rows`` as a buffer of views into this one's columns; it shares the failures."""
@@ -222,8 +225,8 @@ class _Rows:
 
 
 # ---------------------------------------------------------------------------
-# The stepping core behind sgd_run, gaussian_sgd_run, sde_run,
-# ou_eigenbasis_run, sgd_replica_ensemble and the experiments' replica runs.
+# The stepping core behind sgd_run, gaussian_sgd_run, ou_eigenbasis_run,
+# sgd_replica_ensemble and the experiments' replica runs.
 
 # Lockstep rows draw and transform their noise this many steps at a time.
 NOISE_BLOCK = 512
@@ -279,11 +282,9 @@ def _advance_rows(
     seeds,
     steps: int,
     *,
-    time_steps=None,
     record_stride: int = 1,
     snapshots: bool = False,
     sampling: str = "with_replacement",
-    surrogate=None,
     block: int = NOISE_BLOCK,
 ) -> _Rows:
     """Advance one row per (learning rate, batch size, seed) from ``theta0``.
@@ -294,17 +295,12 @@ def _advance_rows(
     exceeds 1e24 or is NaN; the other rows go on.  A row's result does not
     depend on which other rows share the call.
 
-    Row r steps with time step h = ``time_steps[r]`` (default: its learning
-    rate lr): its drift is -h grad f, and its Gaussian noise is scaled by
-    ``(h / sqrt(m)) sqrt(lr / h)``, the Euler-Maruyama step of the SGD
-    diffusion.  At h = lr that scale is ``lr / sqrt(m)`` bit for bit, as
-    ``lr / lr`` is exactly 1.  Quadratic models advance all rows together
-    (see ``_lockstep``).  Other models run each row in ``_loop_row`` with
-    a step picked once: a minibatch of ``batch_size`` indices (at most n)
-    drawn per ``sampling``, or, when ``surrogate`` is given, the drift
-    gradient g plus the surrogate noise ``xi F`` with ``(g, F) =
-    surrogate(theta)`` (see ``_surrogate_terms``) and ``xi`` standard
-    normal, one entry per row of F.
+    Every row is a plain SGD row: its time step is its learning rate lr.
+    Quadratic models advance all rows together (see ``_lockstep``), each
+    step moving by -lr grad f plus Gaussian noise scaled by
+    ``lr / sqrt(m)``.  Other models run each row in ``_loop_row``, each
+    step moving by -lr times the mean gradient of a minibatch of
+    ``batch_size`` indices (at most n) drawn per ``sampling``.
 
     Given two CPUs, a quadratic run of ``_SPLIT_ENTRIES`` noise entries or
     more advances half its rows in a forked child (``_split_rows``), which
@@ -312,17 +308,16 @@ def _advance_rows(
     """
     lrs = np.array(learning_rates, dtype=float)
     _check_rows(lrs, batch_sizes, steps)
-    hs = lrs if time_steps is None else np.array(time_steps, dtype=float)
     ms = np.array(batch_sizes, dtype=np.int64)
-    noise_scales = (hs / np.sqrt(ms)) * np.sqrt(lrs / hs)
     n = model.example_count
-    if surrogate is None and n is not None and ms.max() > n:
+    if n is not None and ms.max() > n:
         raise EngineError(f"batch_size {ms.max()} exceeds the {n} available examples")
     rows, p = lrs.size, model.param_dim
-    out = _Rows(hs, steps, record_stride, p, snapshots)
+    out = _Rows(lrs, steps, record_stride, p, snapshots)
     if isinstance(model, QuadraticModel):
         lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
-        decay, noise_map = 1.0 - hs[:, None] * lam, model.noise_sqrt.T @ vec
+        decay, noise_map = 1.0 - lrs[:, None] * lam, model.noise_sqrt.T @ vec
+        noise_scales = lrs / np.sqrt(ms)
         def lockstep(part: _Rows, which: slice = slice(None)) -> None:
             _lockstep(part, theta0, seeds[which], steps, lam, vec, model.minimizer, decay[which],
                       noise_map, noise_scales[which], block)
@@ -333,13 +328,9 @@ def _advance_rows(
         return out
     for r in range(rows):
         rng, m = np.random.default_rng(seeds[r]), int(ms[r])
-        if surrogate is not None:
-            noise = partial(rng.standard_normal, n)
-            step = partial(_surrogate_step, surrogate, hs[r], noise_scales[r], noise)
-        else:
-            draw = (partial(rng.integers, 0, n, size=m) if sampling == "with_replacement"
-                    else partial(rng.choice, n, size=m, replace=False))
-            step = partial(_minibatch_step, model, hs[r], draw)
+        draw = (partial(rng.integers, 0, n, size=m) if sampling == "with_replacement"
+                else partial(rng.choice, n, size=m, replace=False))
+        step = partial(_minibatch_step, model, lrs[r], draw)
         try:
             out.finals[r] = _loop_row(model, out, r, theta0, steps, step)
         except DivergenceError as err:
@@ -347,25 +338,8 @@ def _advance_rows(
     return out
 
 
-def _surrogate_terms(model: LossModel, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean g and centred rows ``F = n^{-1/2} G_c`` of the per-example gradients.
-
-    g is the full gradient up to rounding; ``xi F``, with ``xi`` standard
-    normal in R^n, has covariance ``G_c^T G_c / n``, exactly the C(theta)
-    that ``gradient_covariance`` forms, at O(np) cost.
-    """
-    grads = model.per_example_grads(theta)
-    mean = grads.mean(axis=0)
-    return mean, (grads - mean) / math.sqrt(grads.shape[0])
-
-
-def _surrogate_step(surrogate, h: float, scale: float, draw, theta: np.ndarray) -> np.ndarray:
-    grad, factor = surrogate(theta)
-    return theta - h * grad + scale * (draw() @ factor)
-
-
-def _minibatch_step(model: LossModel, h: float, draw, theta: np.ndarray) -> np.ndarray:
-    return theta - h * model.batch_grad(theta, draw())
+def _minibatch_step(model: LossModel, lr: float, draw, theta: np.ndarray) -> np.ndarray:
+    return theta - lr * model.batch_grad(theta, draw())
 
 
 def _rk4_step(model: LossModel, dt: float, theta: np.ndarray) -> np.ndarray:
@@ -414,7 +388,7 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     in R^p from the row's generator.  Records carry 0.5 sum lam z^2 and
     sum (lam z)^2; snapshots are theta = z basis^T + center.  A
     synthesized-noise quadratic passes H's eigenpairs, its minimizer, decay
-    1 - h lam and noise map R^T V with R = ``model.noise_sqrt``, one
+    1 - lr lam and noise map R^T V with R = ``model.noise_sqrt``, one
     N(0, C/m) draw per step for the mean of m per-example noise draws (see
     ``_advance_rows``); ``ou_eigenbasis_run`` passes the identity basis, a
     zero centre, decay exp(-lam dt) and noise map -diag(std).
@@ -566,13 +540,7 @@ def sgd_run(
     ``batch_size`` per-example draws, and run on the lockstep core as a
     single row.
     """
-    theta = as_param_vector(theta0, model.param_dim)
-    run = _advance_rows(
-        model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
-        record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling,
-    )
-    run.raise_first_divergence()
-    return run.trajectory(0)
+    return _single_row(model, theta0, cfg, record_stride, snapshots)
 
 
 def gaussian_sgd_run(
@@ -580,31 +548,29 @@ def gaussian_sgd_run(
     theta0,
     cfg: SgdConfig,
     *,
-    ref_point=None,
     record_stride: int = 1,
     snapshots: bool = False,
 ) -> Trajectory:
     """SGD with the minibatch noise replaced by its Gaussian surrogate.
 
     Updates theta <- theta - lr * grad + (lr / sqrt(m)) * noise, with noise
-    of covariance C, the per-example gradient covariance.  For a quadratic
-    C is the model's exact covariance, drawn through its root
-    ``noise_sqrt``; the surrogate is then exactly the law ``sgd_run``
-    draws, and both run on the same lockstep core (same seed, same
-    trajectory).  On finite data the noise is ``n^{-1/2} xi G_c`` with
-    ``xi`` standard normal in R^n and ``G_c`` the centred per-example
-    gradients at ``ref_point`` (default: the start point), frozen for the
-    run.
+    of the quadratic's exact covariance C, drawn through its root
+    ``noise_sqrt``.  That surrogate is exactly the law ``sgd_run`` draws,
+    so this is ``sgd_run`` (same seed, same trajectory); only
+    synthesized-noise quadratics are accepted.
     """
-    theta = as_param_vector(theta0, model.param_dim)
-    surrogate = None
     if not isinstance(model, QuadraticModel):
-        reference = theta if ref_point is None else as_param_vector(ref_point, model.param_dim)
-        _, frozen = _surrogate_terms(model, reference)
-        surrogate = lambda at: (model.full_grad(at), frozen)
+        raise EngineError("gaussian_sgd_run needs a synthesized-noise quadratic model")
+    return _single_row(model, theta0, cfg, record_stride, snapshots)
+
+
+def _single_row(model: LossModel, theta0, cfg: SgdConfig, record_stride: int,
+                snapshots: bool) -> Trajectory:
+    # One body for sgd_run and gaussian_sgd_run, so one run is one public call.
+    theta = as_param_vector(theta0, model.param_dim)
     run = _advance_rows(
         model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
-        record_stride=record_stride, snapshots=snapshots, surrogate=surrogate,
+        record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling,
     )
     run.raise_first_divergence()
     return run.trajectory(0)
@@ -622,44 +588,6 @@ def _step_count(t_end: float, dt: float) -> int:
     if steps > _COUNT_LIMIT:
         raise EngineError(f"t_end / dt must not exceed {_COUNT_LIMIT} steps")
     return steps
-
-
-def sde_run(
-    model: LossModel,
-    theta0,
-    learning_rate: float,
-    batch_size: int,
-    t_end: float,
-    dt: float,
-    seed: int,
-    *,
-    record_stride: int = 1,
-    snapshots: bool = False,
-) -> Trajectory:
-    """Euler-Maruyama discretization of the SGD diffusion approximation:
-
-        dX = -grad f(X) dt + sqrt(lr / m) * sigma(X) dW,
-
-    with sigma(X) sigma(X)^T = C(X), the per-example gradient covariance,
-    run as one row of the stepping core with time step dt.  A quadratic's
-    constant C is drawn through the model's root ``noise_sqrt``; finite-data
-    models draw sigma(X) dW from the centred per-example gradients at the
-    current X, as ``gaussian_sgd_run`` does at its reference point.  At
-    ``dt = lr`` this is ``gaussian_sgd_run`` with C refreshed every step,
-    and on a quadratic the same run bit for bit.  Requires dt <=
-    learning_rate (the diffusion has no business resolving scales finer
-    than one SGD step).
-    """
-    theta = as_param_vector(theta0, model.param_dim)
-    steps = _step_count(t_end, dt)
-    if dt > learning_rate:
-        raise EngineError(f"dt={dt} must not exceed learning_rate={learning_rate}")
-    run = _advance_rows(
-        model, theta, [learning_rate], [batch_size], [seed], steps, time_steps=[dt],
-        record_stride=record_stride, snapshots=snapshots, surrogate=partial(_surrogate_terms, model),
-    )
-    run.raise_first_divergence()
-    return run.trajectory(0)
 
 
 def gradient_flow(
@@ -754,9 +682,9 @@ def sgd_replica_ensemble(
         np.random.SeedSequence(master_seed).spawn(replicas), steps,
         record_stride=steps,
     )
-    if run.failures:
-        row, err = min(run.failures.items(), key=lambda item: (item[1].step, item[0]))
-        raise EngineError(f"replica ensemble diverged: replica {row}, {err}")
+    first = run.first_divergence()
+    if first is not None:
+        raise EngineError(f"replica ensemble diverged: replica {first[0]}, {first[1]}")
     return run.finals
 
 

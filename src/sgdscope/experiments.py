@@ -201,7 +201,7 @@ def scan_bs_lr(
     that run's partial trajectory.  A model above the dense guard raises
     ``problems.ModelError`` before the minimum search.
     """
-    grid = [(float(lr), int(m)) for lr, m in grid]
+    grid = [_checked_pair("grid pair", lr, m) for lr, m in grid]
     if not grid:
         raise ExperimentError("grid must contain at least one (lr, batch) pair")
     if replicas < 1:

@@ -203,5 +203,8 @@ def read_matrix_csv(path) -> SymMatrix:
             raise LinAlgError(
                 f"{path}: expected {dim} columns, found {len(cells)} in {line!r}"
             )
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise LinAlgError(f"{path}: malformed cell in {line!r}") from exc
     return SymMatrix(np.array(rows))

@@ -513,8 +513,11 @@ def read_dataset_csv(path):
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise ModelError(f"{path}: expected {dim + 1} columns in {line!r}")
-        labels.append(int(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
+        try:
+            labels.append(int(cells[0]))
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError as exc:
+            raise ModelError(f"{path}: malformed cell in {line!r}") from exc
     if not rows:
         raise ModelError(f"{path}: dataset has no example rows")
     return np.array(rows), np.array(labels, dtype=int)

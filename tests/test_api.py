@@ -24,7 +24,7 @@ MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine"
 
 REMOVED = ["ConvergenceError", "OuSpec", "fluctuation_trajectory",
            "integrate_fluctuation_covariance", "minibatch_grad",
-           "hutchinson_trace", "grad_cov_trace", "trace_sigma2_h"]
+           "hutchinson_trace", "grad_cov_trace", "trace_sigma2_h", "sde_run"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -70,6 +70,9 @@ def test_deleted_internals_stay_gone():
     assert "probe_count" not in KEY_SPECS and "sample_count" not in KEY_SPECS
     for cls in (LossModel, QuadraticModel, LogisticModel, MlpModel):
         assert not hasattr(cls, "per_example_grad") and not hasattr(cls, "exact_gradient_covariance")
+    assert not hasattr(engine, "_surrogate_terms") and not hasattr(engine, "_surrogate_step")
+    assert not {"surrogate", "time_steps"} & set(inspect.signature(engine._advance_rows).parameters)
+    assert "ref_point" not in inspect.signature(engine.gaussian_sgd_run).parameters
 
 
 def test_quadratic_has_no_dataset_gradients():

@@ -414,6 +414,19 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err == f"error: {args[0]}: {message}\n"
 
+    @pytest.mark.parametrize("command, text, line", [
+        ("estimate", "label,f0\n0,1.0\n1.5,2.0\n", "1.5,2.0"),
+        ("lyapunov", "# dim=2\n1.0,0.0\nabc,1.0\n", "abc,1.0"),
+    ])
+    def test_malformed_csv_cells_give_one_error_line(self, tmp_path, capsys, command, text, line):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        inputs = (["--model", "logistic", "--dataset_file", str(path)] if command == "estimate"
+                  else ["--hessian_file", str(path), "--noise_file", str(path)])
+        code = main([command, "--out_dir", str(tmp_path / "run"), "--master_seed", "0"] + inputs)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {command}: {path}: malformed cell in {line!r}\n"
+
     @pytest.mark.parametrize("command", ["scan", "estimate"])
     def test_models_above_the_dense_guard_are_refused(self, tmp_path, capsys, command):
         features = 0.01 * np.random.default_rng(0).standard_normal((3, 2001))

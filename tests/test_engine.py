@@ -17,7 +17,6 @@ from sgdscope.engine import (
     gaussian_sgd_run,
     gradient_flow,
     ou_eigenbasis_run,
-    sde_run,
     sgd_replica_ensemble,
     sgd_run,
     write_snapshots_csv,
@@ -29,7 +28,6 @@ from sgdscope.linalg import SymMatrix
 from sgdscope.problems import (
     QuadraticModel,
     generate_blobs,
-    gradient_covariance,
     make_logistic,
     make_mlp,
     make_quadratic,
@@ -73,16 +71,6 @@ def small_mlp():
         example_count=40, feature_dim=2, class_count=3, seed=12
     )
     return make_mlp(2, 4, 3, (features, labels), seed=5)
-
-
-def one_step_increments(run, count):
-    # theta_1 - theta_0 of `count` one-step runs, run(seed) for seeds 0..count-1.
-    return np.array([np.diff(run(seed).thetas, axis=0)[0] for seed in range(count)])
-
-
-def relative_cov_error(increments, expected):
-    sample = np.cov(increments, rowvar=False, ddof=1)
-    return np.linalg.norm(sample - expected) / np.linalg.norm(expected)
 
 
 class TestSgdConfig:
@@ -236,132 +224,16 @@ class TestGaussianSgdRun:
             target = discrete_stationary_variance(lr, m, h, 0.3)
             assert abs(np.var(tail[:, i]) / target - 1.0) < 0.10
 
-    def test_estimated_covariance_fallback(self):
-        # Finite-data model: the noise root is estimated once at the
-        # reference point, and the run stays reproducible.
-        model = small_logistic()
-        cfg = SgdConfig(0.2, 8, 50, seed=1)
-        theta0 = np.zeros(model.param_dim)
-        first = gaussian_sgd_run(model, theta0, cfg)
-        second = gaussian_sgd_run(model, theta0, cfg)
-        np.testing.assert_array_equal(first.losses, second.losses)
-
     def test_divergence_guard(self):
         model = quadratic([1.0], 0.1)
         cfg = SgdConfig(learning_rate=2.5, batch_size=1, steps=400, seed=0)
         with pytest.raises(DivergenceError):
             gaussian_sgd_run(model, [1.0], cfg)
 
-    def test_finite_data_noise_has_the_covariance_at_the_reference_point(self):
-        # One step from theta0 moves by -lr grad f(theta0) plus noise of
-        # covariance (lr^2 / m) C(ref_point), the covariance frozen there.
+    def test_finite_data_models_are_refused(self):
         model = small_logistic()
-        lr, m = 0.2, 4
-        theta0 = np.array([0.3, -0.2, 0.1])
-        reference = np.array([1.5, -1.0, 0.8])
-        increments = one_step_increments(
-            lambda seed: gaussian_sgd_run(model, theta0, SgdConfig(lr, m, 1, seed),
-                                          ref_point=reference, snapshots=True),
-            4000,
-        )
-        at_reference = (lr**2 / m) * gradient_covariance(model, reference).entries
-        at_start = (lr**2 / m) * gradient_covariance(model, theta0).entries
-        assert relative_cov_error(increments, at_reference) < 0.10
-        assert relative_cov_error(increments, at_start) > 0.25
-
-
-class TestSdeRun:
-    def test_rejects_dt_above_learning_rate(self):
-        model = quadratic([1.0], 0.1)
-        with pytest.raises(EngineError, match="must not exceed learning_rate"):
-            sde_run(model, [0.0], learning_rate=0.01, batch_size=1, t_end=1.0, dt=0.02, seed=0)
-
-    def test_stationary_variance_matches_diffusion_theory(self):
-        lr, m, h, c = 0.02, 1, 1.0, 0.2
-        model = quadratic([h], c)
-        traj = sde_run(
-            model, [0.0], lr, m, t_end=3000.0, dt=0.01, seed=314,
-            record_stride=10, snapshots=True,
-        )
-        tail = traj.thetas[len(traj.thetas) // 2 :, 0]
-        target = lr * c / (2.0 * m * h)
-        assert abs(np.var(tail) / target - 1.0) < 0.15
-
-    def test_reproducible(self):
-        model = quadratic([1.0, 2.0], 0.3)
-        runs = [
-            sde_run(model, [1.0, 1.0], 0.05, 2, t_end=5.0, dt=0.05, seed=8)
-            for _ in range(2)
-        ]
-        np.testing.assert_array_equal(runs[0].losses, runs[1].losses)
-
-    def test_dt_equal_to_lr_is_gaussian_sgd_run_bitwise(self):
-        model = dense_quadratic(5, 7)
-        lr, m, steps, seed = 0.05, 3, 400, 19
-        theta0 = model.minimizer + 0.4
-        sde = sde_run(model, theta0, lr, m, t_end=steps * lr, dt=lr, seed=seed,
-                      record_stride=9, snapshots=True)
-        gauss = gaussian_sgd_run(model, theta0, SgdConfig(lr, m, steps, seed),
-                                 record_stride=9, snapshots=True)
-        assert sde.steps[-1] == steps
-        for column in ("steps", "times", "losses", "grad_norms_sq", "thetas"):
-            np.testing.assert_array_equal(getattr(sde, column), getattr(gauss, column))
-
-    def test_finite_data_run_is_reproducible(self):
-        model = small_logistic()
-        theta0 = np.zeros(model.param_dim)
-
-        def run(seed):
-            return sde_run(model, theta0, 0.2, 4, t_end=2.0, dt=0.05, seed=seed,
-                           record_stride=4, snapshots=True)
-
-        first, second, other = run(3), run(3), run(4)
-        np.testing.assert_array_equal(first.steps, np.append(np.arange(0, 40, 4), 40))
-        np.testing.assert_array_equal(first.times, first.steps * 0.05)
-        np.testing.assert_array_equal(first.losses, second.losses)
-        np.testing.assert_array_equal(first.thetas, second.thetas)
-        assert not np.array_equal(first.thetas, other.thetas)
-        assert first.losses[-1] < first.losses[0]
-
-    def test_finite_data_increments_have_the_diffusion_covariance(self):
-        # One Euler-Maruyama step moves by -dt grad f(theta0) plus noise of
-        # covariance (lr / m) dt C(theta0).
-        model = small_logistic()
-        lr, m, dt = 0.2, 4, 0.05
-        theta0 = np.array([0.3, -0.2, 0.1])
-        increments = one_step_increments(
-            lambda seed: sde_run(model, theta0, lr, m, t_end=dt, dt=dt, seed=seed, snapshots=True),
-            4000,
-        )
-        expected = (lr / m) * dt * gradient_covariance(model, theta0).entries
-        assert relative_cov_error(increments, expected) < 0.10
-        stderr = np.sqrt(np.diag(expected) / len(increments))
-        drift = -dt * model.full_grad(theta0)
-        assert (np.abs(increments.mean(axis=0) - drift) < 5.0 * stderr).all()
-
-    def test_divergence_carries_partial_run_in_time_units(self):
-        model = quadratic([1.0], 0.1)
-        dt = 2.5
-        with pytest.raises(DivergenceError, match="divergence at step") as info:
-            sde_run(model, [1.0], 3.0, 1, t_end=500 * dt, dt=dt, seed=0, record_stride=5)
-        err = info.value
-        traj = err.trajectory
-        assert 0 < err.step < 500
-        assert traj.steps[-1] < err.step
-        np.testing.assert_array_equal(traj.times, traj.steps * dt)
-        assert traj.losses[0] == 0.5
-
-    def test_zero_noise_tracks_flow(self):
-        # Drift integration is first order, so the error budget is O(dt).
-        model = quadratic([0.5, 2.0], 0.0)
-        theta0 = np.array([1.0, -1.0])
-        exact = model.flow_solution(theta0, 2.0)
-        errs = []
-        for dt in (0.002, 0.001):
-            traj = sde_run(model, theta0, 0.1, 1, t_end=2.0, dt=dt, seed=0, snapshots=True)
-            errs.append(np.linalg.norm(traj.thetas[-1] - exact))
-        assert errs[1] < 1e-3
-        assert 1.7 < errs[0] / errs[1] < 2.3
+        with pytest.raises(EngineError, match="synthesized-noise quadratic"):
+            gaussian_sgd_run(model, np.zeros(model.param_dim), SgdConfig(0.2, 8, 50, seed=1))
 
 
 class TestGradientFlow:
@@ -1038,24 +910,3 @@ class TestFiniteDataRows:
             records = plain_step_loop(model, theta0, steps, stride, step)
             self.assert_row_matches(run.trajectory(r), records)
             np.testing.assert_array_equal(run.finals[r], records[-1][3])
-
-    @pytest.mark.parametrize("make_model", [small_logistic, small_mlp])
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_gaussian_run_matches_a_plain_loop_bitwise(self, make_model, stride):
-        # The surrogate noise is xi F with F the centred per-example
-        # gradients at the start point over sqrt(n), frozen for the run.
-        model = make_model()
-        n = model.example_count
-        theta0 = np.full(model.param_dim, 0.2)
-        lr, m, seed, steps = 0.1, 4, 43, 60
-        grads = model.per_example_grads(theta0)
-        frozen = (grads - grads.mean(axis=0)) / np.sqrt(n)
-        rng = np.random.default_rng(seed)
-
-        def step(theta):
-            return theta - lr * model.full_grad(theta) + (lr / np.sqrt(m)) * (rng.standard_normal(n) @ frozen)
-
-        records = plain_step_loop(model, theta0, steps, stride, step)
-        traj = gaussian_sgd_run(model, theta0, SgdConfig(lr, m, steps, seed), record_stride=stride,
-                                snapshots=True)
-        self.assert_row_matches(traj, records)

@@ -154,6 +154,8 @@ class TestScanBsLr:
             scan_bs_lr(model, [], run_length=10, replicas=1, master_seed=0)
         with pytest.raises(ExperimentError):
             scan_bs_lr(model, [(0.1, 1)], run_length=10, replicas=0, master_seed=0)
+        with pytest.raises(ExperimentError, match=r"^grid pair \(lr 0.1, bs 2.5\)"):
+            scan_bs_lr(model, [(0.1, 2.5)], run_length=10, replicas=1, master_seed=0)
 
     def test_csv_schema(self, tmp_path):
         model = isotropic_quadratic(1, 1.0, 0.1)

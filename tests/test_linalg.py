@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -218,4 +220,10 @@ class TestMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("# dim=3\n1.0,0.0,0.0\n0.0,1.0,0.0\n")
         with pytest.raises(LinAlgError, match="rows"):
+            read_matrix_csv(path)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# dim=2\n1.0,0.0\nabc,1.0\n")
+        with pytest.raises(LinAlgError, match=f"^{re.escape(str(path))}: malformed cell in 'abc,1.0'$"):
             read_matrix_csv(path)

@@ -312,3 +312,10 @@ class TestBlobsAndDatasetCsv:
         path.write_text("lbl,f0\n0,1.0\n")
         with pytest.raises(ModelError, match="header"):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.5,1.0", "0,abc"])
+    def test_malformed_cell_rejected(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"label,f0\n0,1.0\n{row}\n")
+        with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: malformed cell in '{row}'$"):
+            read_dataset_csv(path)
