@@ -566,7 +566,7 @@ def gaussian_sgd_run(
 
 def _single_row(model: LossModel, theta0, cfg: SgdConfig, record_stride: int,
                 snapshots: bool) -> Trajectory:
-    # One body for sgd_run and gaussian_sgd_run, so one run is one public call.
+    # Shared by sgd_run and gaussian_sgd_run: a run is one public call, never two nested.
     theta = as_param_vector(theta0, model.param_dim)
     run = _advance_rows(
         model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,

@@ -417,7 +417,7 @@ class TestCommands:
     @pytest.mark.parametrize("command, text, line", [
         ("estimate", "label,f0\n0,1.0\n1.5,2.0\n", "1.5,2.0"),
         ("lyapunov", "# dim=2\n1.0,0.0\nabc,1.0\n", "abc,1.0"),
-    ])
+    ], ids=["estimate", "lyapunov"])
     def test_malformed_csv_cells_give_one_error_line(self, tmp_path, capsys, command, text, line):
         path = tmp_path / "input.csv"
         path.write_text(text)
