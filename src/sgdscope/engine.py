@@ -12,7 +12,8 @@ experiments' runs) advance one row per learning rate, batch size and
 generator through ``_advance_rows``.  Quadratic rows advance together in
 ``_lockstep``, which also runs the exact OU diffusion ``ou_eigenbasis_run``;
 every other row, the deterministic RK4 ``gradient_flow`` included, is one
-guarded loop, ``_loop_row``, over its own step function.
+guarded loop, ``_loop_row``, over its own step function.  Only
+``_advance_rows`` sends rows to other processes (``_split_rows``).
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
     if not (np.isfinite(lrs) & (lrs > 0)).all():
         raise EngineError("learning_rate must be positive and finite")
     ms = np.asarray(batch_sizes)
-    if (ms < 1).any():
-        raise EngineError("batch_size must be at least 1")
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and fails the check
+        if not ((ms >= 1) & (ms % 1 == 0)).all():
+            raise EngineError("batch_size must be a whole number of at least 1")
     if (ms > _COUNT_LIMIT).any():
         raise EngineError(f"batch_size must not exceed {_COUNT_LIMIT}")
     if steps < 1:
@@ -146,13 +148,19 @@ class _Rows:
 
     Every row records on the same step grid (each ``stride``-th step and the
     last one); ``counts[r]`` is how many of those records row ``r`` reached.
-    Columns are ``(records, rows)``, snapshots ``(records, rows, p)``.
-    ``failures`` maps each row the guard stopped to its divergence, which
-    carries the step it stopped at and the row's partial trajectory; the
-    other rows ran to the horizon and left their last state in ``finals``.
+    Columns are ``(records, rows)``, snapshots ``(records, rows, p)``; with
+    ``accuracy``, ``record`` also fills a classifier's ``model.accuracy``
+    into ``accuracies``.  ``failures`` maps each row the guard stopped to
+    its divergence, which carries the step it stopped at and the row's
+    partial trajectory; the other rows ran to the horizon and left their
+    last state in ``finals``.
     """
 
-    def __init__(self, time_steps, total_steps: int, stride: int, param_dim: int, snapshots: bool):
+    # The columns of shape (records, rows, ...); one not asked for is None.
+    RECORD_COLUMNS = ("losses", "grad_norms_sq", "accuracies", "thetas")
+
+    def __init__(self, time_steps, total_steps: int, stride: int, param_dim: int, snapshots: bool,
+                 accuracy: bool = False):
         if stride < 1:
             raise EngineError("record_stride must be at least 1")
         grid = np.arange(0, total_steps + 1, stride, dtype=np.int64)
@@ -165,6 +173,7 @@ class _Rows:
         self.steps = grid
         self.losses = np.empty((n_rec, rows))
         self.grad_norms_sq = np.empty((n_rec, rows))
+        self.accuracies = np.empty((n_rec, rows)) if accuracy else None
         self.thetas: np.ndarray | None = None
         if snapshots:
             if n_rec * rows * param_dim > SNAPSHOT_BUDGET:
@@ -188,6 +197,8 @@ class _Rows:
         i = self.counts[row]
         self.losses[i, row] = loss
         self.grad_norms_sq[i, row] = float(grad @ grad)
+        if self.accuracies is not None:
+            self.accuracies[i, row] = model.accuracy(theta)
         if self.thetas is not None:
             self.thetas[i, row] = theta
         self.counts[row] = i + 1
@@ -216,11 +227,12 @@ class _Rows:
             raise first[1]
 
     def view(self, rows: slice) -> _Rows:
-        """Rows ``rows`` as a buffer of views into this one's columns; it shares the failures."""
+        """Rows ``rows`` as a buffer of views into this one's arrays; it shares the failures."""
         part = copy.copy(self)
         part.time_steps, part.counts, part.finals = self.time_steps[rows], self.counts[rows], self.finals[rows]
-        part.losses, part.grad_norms_sq = self.losses[:, rows], self.grad_norms_sq[:, rows]
-        part.thetas = None if self.thetas is None else self.thetas[:, rows]
+        for name in _Rows.RECORD_COLUMNS:
+            column = getattr(self, name)
+            setattr(part, name, None if column is None else column[:, rows])
         return part
 
 
@@ -284,8 +296,10 @@ def _advance_rows(
     *,
     record_stride: int = 1,
     snapshots: bool = False,
+    accuracy: bool = False,
     sampling: str = "with_replacement",
     block: int = NOISE_BLOCK,
+    workers: int | None = None,
 ) -> _Rows:
     """Advance one row per (learning rate, batch size, seed) from ``theta0``.
 
@@ -293,7 +307,8 @@ def _advance_rows(
     ``numpy.random.default_rng`` accepts), records every ``record_stride``
     steps into a shared buffer and stops on its own when ||theta||^2
     exceeds 1e24 or is NaN; the other rows go on.  A row's result does not
-    depend on which other rows share the call.
+    depend on which other rows share the call.  With ``accuracy`` the buffer
+    also records ``model.accuracy`` (a classifier's).
 
     Every row is a plain SGD row: its time step is its learning rate lr.
     Quadratic models advance all rows together (see ``_lockstep``), each
@@ -302,9 +317,11 @@ def _advance_rows(
     step moving by -lr times the mean gradient of a minibatch of
     ``batch_size`` indices (at most n) drawn per ``sampling``.
 
-    Given two CPUs, a quadratic run of ``_SPLIT_ENTRIES`` noise entries or
-    more advances half its rows in a forked child (``_split_rows``), which
-    alone advances a ``Generator`` given as the seed of one of those rows.
+    Where ``os.fork`` exists, a finite-data call, or a quadratic one of
+    ``_SPLIT_ENTRIES`` noise entries or more, runs its rows in contiguous
+    ranges, one per process, on at most ``workers`` (default: all) of the
+    usable CPUs (``_split_rows``).  Only the process advancing a row
+    advances a ``Generator`` given as its seed.
     """
     lrs = np.array(learning_rates, dtype=float)
     _check_rows(lrs, batch_sizes, steps)
@@ -313,28 +330,31 @@ def _advance_rows(
     if n is not None and ms.max() > n:
         raise EngineError(f"batch_size {ms.max()} exceeds the {n} available examples")
     rows, p = lrs.size, model.param_dim
-    out = _Rows(lrs, steps, record_stride, p, snapshots)
+    out = _Rows(lrs, steps, record_stride, p, snapshots, accuracy)
     if isinstance(model, QuadraticModel):
         lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
         decay, noise_map = 1.0 - lrs[:, None] * lam, model.noise_sqrt.T @ vec
         noise_scales = lrs / np.sqrt(ms)
-        def lockstep(part: _Rows, which: slice = slice(None)) -> None:
+        def advance(part: _Rows, which: slice) -> None:
             _lockstep(part, theta0, seeds[which], steps, lam, vec, model.minimizer, decay[which],
                       noise_map, noise_scales[which], block)
-        if rows > 1 and rows * steps * p >= _SPLIT_ENTRIES and _usable_cpus() > 1 and hasattr(os, "fork"):
-            _split_rows(out, lockstep)
-        else:
-            lockstep(out)
-        return out
-    for r in range(rows):
-        rng, m = np.random.default_rng(seeds[r]), int(ms[r])
-        draw = (partial(rng.integers, 0, n, size=m) if sampling == "with_replacement"
-                else partial(rng.choice, n, size=m, replace=False))
-        step = partial(_minibatch_step, model, lrs[r], draw)
-        try:
-            out.finals[r] = _loop_row(model, out, r, theta0, steps, step)
-        except DivergenceError as err:
-            out.failures[r] = err
+    else:
+        def advance(part: _Rows, which: slice) -> None:
+            for r, (seed, lr, m) in enumerate(zip(seeds[which], lrs[which], ms[which])):
+                rng = np.random.default_rng(seed)
+                draw = (partial(rng.integers, 0, n, size=int(m)) if sampling == "with_replacement"
+                        else partial(rng.choice, n, size=int(m), replace=False))
+                try:
+                    part.finals[r] = _loop_row(model, part, r, theta0, steps,
+                                               partial(_minibatch_step, model, lr, draw))
+                except DivergenceError as err:
+                    part.failures[r] = err
+    parts = min(rows, _usable_cpus(), workers or rows)
+    # n is None on a quadratic, whose rows split only from _SPLIT_ENTRIES noise entries on.
+    if parts > 1 and hasattr(os, "fork") and (n is not None or rows * steps * p >= _SPLIT_ENTRIES):
+        _split_rows(out, advance, parts)
+    else:
+        advance(out, slice(None))
     return out
 
 
@@ -479,49 +499,60 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     out.finals[:] = _rowwise_matmul(z, back) + center
 
 
-def _split_rows(out: _Rows, lockstep) -> None:
-    """``lockstep(part, rows)`` over ``out``: the first half of the rows here, the
-    rest meanwhile in a forked child that pipes back its pickled buffer or error."""
-    half = out.counts.size // 2
-    read, write = os.pipe()
-    with open(read, "rb") as source, open(write, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:  # the child, whose copy of out, failures included, is its own
-            try:
-                source.close()
-                part, error = out.view(slice(half, None)), None
-                try:
-                    lockstep(part, slice(half, None))
-                except BaseException as err:
-                    part, error = None, err
-                try:
-                    data = pickle.dumps((error, part))
-                except Exception:
-                    data = pickle.dumps((EngineError(f"rows {half}+ raised unpicklable {error!r}"), None))
-                sink.write(data)
-                sink.close()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        sink.close()
-        try:
-            lockstep(out.view(slice(half)), slice(half))
-            data = source.read()
-        except BaseException:
+def _split_rows(out: _Rows, advance, parts: int) -> None:
+    """``advance(part, rows)`` over ``parts`` contiguous ranges of ``out``'s rows: the
+    first here, each other one meanwhile in a forked child that pipes back its
+    pickled buffer or error."""
+    bounds = [out.counts.size * i // parts for i in range(parts + 1)]
+    ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    sources, pids = [], []
+    try:
+        for which in ranges[1:]:
+            read, write = os.pipe()
+            sources.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:  # the child, whose copy of out, failures included, is its own
+                    try:
+                        for source in sources:
+                            source.close()
+                        part, error = out.view(which), None
+                        try:
+                            advance(part, which)
+                        except BaseException as err:
+                            part, error = None, err
+                        try:
+                            data = pickle.dumps((error, part))
+                        except Exception:
+                            error = EngineError(f"rows {which.start}+ raised unpicklable {error!r}")
+                            data = pickle.dumps((error, None))
+                        sink.write(data)
+                        sink.close()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        advance(out.view(ranges[0]), ranges[0])
+        data = [source.read() for source in sources]
+    except BaseException:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        raise EngineError(f"the process advancing rows {half}+ ended with status {status}")
-    error, part = pickle.loads(data)
-    if error is not None:
-        raise error
-    out.losses[:, half:], out.grad_norms_sq[:, half:] = part.losses, part.grad_norms_sq
-    if out.thetas is not None:
-        out.thetas[:, half:] = part.thetas
-    out.counts[half:], out.finals[half:] = part.counts, part.finals
-    out.failures.update((half + r, err) for r, err in part.failures.items())
+        raise
+    finally:
+        for source in sources:
+            source.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for which, status, sent in zip(ranges[1:], statuses, data):
+        if status:
+            raise EngineError(f"the process advancing rows {which.start}+ ended with status {status}")
+        error, part = pickle.loads(sent)
+        if error is not None:
+            raise error
+        dest = out.view(which)
+        for name in ("counts", "finals", *_Rows.RECORD_COLUMNS):
+            if getattr(dest, name) is not None:
+                getattr(dest, name)[:] = getattr(part, name)
+        out.failures.update((which.start + r, err) for r, err in part.failures.items())
 
 
 def sgd_run(

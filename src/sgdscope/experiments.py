@@ -7,16 +7,15 @@ position, replica number, config identity), so results are reproducible
 and independent of how work is partitioned across processes.
 
 The scan and the scaling curves take their runs from one row runner,
-``_run_rows``: on a synthesized-noise quadratic all runs are rows of one
-lockstep core call, on finite data each run is one task of
-``parallel_map``.  Either way the divergence with the earliest step over
-all runs is raised.
+``_run_rows``: all runs are rows of one call of the stepping core, which
+splits them over at most ``workers`` processes.  The divergence with the
+earliest step over all runs is raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "SaddleReport",
     "derive_seed",
     "float_bits",
-    "parallel_map",
     "scan_bs_lr",
     "linear_scaling_experiment",
     "clt_experiment",
@@ -64,49 +62,19 @@ def float_bits(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Ordered map over picklable items, optionally across processes.
-
-    Results are returned in input order whatever the worker count, so any
-    downstream reduction sees an identical sequence.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor  # here: only pool runs load it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _rows_task(payload):
-    """One core call; with ``accuracy`` each row's snapshots become its accuracy column."""
-    model, theta0, runs, steps, stride, accuracy = payload
-    out = _advance_rows(model, theta0, *zip(*runs), steps, record_stride=stride, snapshots=accuracy)
-    rows = []
-    for r in range(len(runs)):
-        traj = out.trajectory(r)
-        acc = None if traj.thetas is None else np.array([model.accuracy(t) for t in traj.thetas])
-        rows.append((replace(traj, thetas=None), acc, out.failures.get(r)))
-    return rows
-
-
-def _run_rows(model: LossModel, theta0, runs, steps: int, stride: int, workers: int,
+def _run_rows(model: LossModel, theta0, runs, steps: int, stride: int, workers: int | None,
               accuracy: bool = False) -> list[tuple[Trajectory, np.ndarray | None]]:
     """(trajectory, accuracy column) of ``(lr, m, seed)`` runs from ``theta0``, in run order.
 
-    On a synthesized-noise model all runs are rows of one lockstep call; on
-    finite data each run is a one-row task of ``parallel_map`` over
-    ``workers`` processes.  If any run diverges, the divergence with the
-    earliest step over all runs is raised (the earlier run on a tie).
+    All runs are rows of one core call, in at most ``workers`` processes.
+    If any run diverges, the divergence with the earliest step over all runs
+    is raised (the earlier run on a tie).
     """
-    theta0 = as_param_vector(theta0, model.param_dim)
-    groups = [runs] if isinstance(model, QuadraticModel) else [[run] for run in runs]
-    tasks = [(model, theta0, group, steps, stride, accuracy) for group in groups]
-    rows = [row for group in parallel_map(_rows_task, tasks, workers) for row in group]
-    failures = [err for _, _, err in rows if err is not None]
-    if failures:
-        raise min(failures, key=lambda err: err.step)
-    return [(traj, acc) for traj, acc, _ in rows]
+    out = _advance_rows(model, as_param_vector(theta0, model.param_dim), *zip(*runs), steps,
+                        record_stride=stride, accuracy=accuracy, workers=workers)
+    out.raise_first_divergence()
+    return [(out.trajectory(r), None if out.accuracies is None else out.accuracies[:, r])
+            for r in range(len(runs))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +149,7 @@ def scan_bs_lr(
     theta_start=None,
     record_stride: int | None = None,
     burn_in_fraction: float = 0.5,
-    workers: int = 1,
+    workers: int | None = None,
     flow_t: float = 50.0,
     flow_dt: float = 0.01,
 ) -> list[ScanRow]:
@@ -192,14 +160,16 @@ def scan_bs_lr(
     and turned into per-grid-point predictions.  Rows come back in grid
     order and are bit-reproducible for a fixed master seed.
 
-    On a synthesized-noise quadratic every (grid point, replica) run is one
-    row of a single lockstep call, drawing one N(0, C/m) noise variate per
-    step (the law of a mean of m per-example draws); a grid point's row does
-    not depend on the other grid points.  ``workers`` only fans out the runs
-    of finite-data models, one task per run.  A diverging run raises the
-    :class:`DivergenceError` with the earliest step of all runs, carrying
-    that run's partial trajectory.  A model above the dense guard raises
-    ``problems.ModelError`` before the minimum search.
+    Every (grid point, replica) run is one row of a single core call; on a
+    synthesized-noise quadratic each row draws one N(0, C/m) noise variate
+    per step (the law of a mean of m per-example draws).  A grid point's row
+    does not depend on the other grid points, nor on ``workers``: the call
+    runs its rows in at most that many processes (default: the usable CPUs;
+    a quadratic call only from ``engine._SPLIT_ENTRIES`` noise entries on).
+    A diverging run raises the :class:`DivergenceError` with the earliest
+    step of all runs, carrying that run's partial trajectory.  A model
+    above the dense guard raises ``problems.ModelError`` before the
+    minimum search.
     """
     grid = [_checked_pair("grid pair", lr, m) for lr, m in grid]
     if not grid:
@@ -357,7 +327,7 @@ def linear_scaling_experiment(
     theta0=None,
     record_stride: int | None = None,
     burn_in_fraction: float = 0.5,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> CurveSet:
     """Loss curves under joint (lr, batch) rescaling versus ratio breaking.
 
@@ -366,10 +336,9 @@ def linear_scaling_experiment(
     (1% of records), interpolated onto a shared post-burn-in time grid, and
     scored by mean absolute difference from the base curve.  A config whose
     (lr, m) equals the base draws the same seed and so reproduces the base
-    run exactly.  On a synthesized-noise quadratic all configs run as rows
-    of one lockstep call; ``workers`` only fans out finite-data runs, one
-    task per config.  A classifier's accuracy column is computed from each
-    run's snapshots.
+    run exactly.  All configs run as rows of one core call, in at most
+    ``workers`` processes as in :func:`scan_bs_lr`.  A classifier's
+    accuracy is recorded with each of its records.
     """
     base_lr, base_m = _checked_pair("base pair", *base)
     off_ratio = [_checked_pair("off-ratio pair", lr, m) for lr, m in off_ratio]
@@ -386,9 +355,8 @@ def linear_scaling_experiment(
 
     theta_init = np.zeros(model.param_dim) if theta0 is None else np.asarray(theta0, float)
     stride = record_stride or max(1, run_length // 2000)
-    want_accuracy = hasattr(model, "accuracy")
     runs = [(lr, m, derive_seed(seed, m, float_bits(lr))) for _, _, lr, m in configs]
-    results = _run_rows(model, theta_init, runs, run_length, stride, workers, want_accuracy)
+    results = _run_rows(model, theta_init, runs, run_length, stride, workers, hasattr(model, "accuracy"))
 
     horizon = min(traj.times[-1] for traj, _ in results)
     grid = np.linspace(burn_in_fraction * horizon, horizon, CURVE_GRID_POINTS)

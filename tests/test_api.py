@@ -24,7 +24,7 @@ MODULES = ["sgdscope", "sgdscope.linalg", "sgdscope.problems", "sgdscope.engine"
 
 REMOVED = ["ConvergenceError", "OuSpec", "fluctuation_trajectory",
            "integrate_fluctuation_covariance", "minibatch_grad",
-           "hutchinson_trace", "grad_cov_trace", "trace_sigma2_h", "sde_run"]
+           "hutchinson_trace", "grad_cov_trace", "trace_sigma2_h", "sde_run", "parallel_map"]
 
 
 @pytest.mark.parametrize("name", MODULES)

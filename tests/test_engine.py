@@ -82,6 +82,10 @@ class TestSgdConfig:
             SgdConfig(**{**good, "learning_rate": float("nan")})
         with pytest.raises(EngineError):
             SgdConfig(**{**good, "batch_size": 0})
+        with pytest.raises(EngineError, match="whole number"):
+            SgdConfig(**{**good, "batch_size": 2.5})
+        with pytest.raises(EngineError, match="whole number"):
+            SgdConfig(**{**good, "batch_size": float("nan")})
         with pytest.raises(EngineError):
             SgdConfig(**{**good, "steps": 0})
         with pytest.raises(EngineError):
@@ -879,6 +883,32 @@ def plain_step_loop(model, theta0, steps, stride, step):
     return records
 
 
+def assert_same_rows(a, b):
+    """Two ``_Rows`` buffers agree bitwise, field by field, failures included;
+    a record column only on the records its row reached, ``finals`` only on
+    the rows that ran to the end."""
+    one, two = vars(a), vars(b)
+    assert one.keys() == two.keys()
+    np.testing.assert_array_equal(a.counts, b.counts)
+    for name in one:
+        if name in engine._Rows.RECORD_COLUMNS and one[name] is not None:
+            for r, k in enumerate(a.counts):
+                np.testing.assert_array_equal(one[name][:k, r], two[name][:k, r])
+        elif name == "finals":
+            done = [r for r in range(len(a.counts)) if r not in a.failures]
+            np.testing.assert_array_equal(a.finals[done], b.finals[done])
+        elif name == "failures":
+            assert list(one[name]) == list(two[name])
+            for r, err in one[name].items():
+                other = two[name][r]
+                assert err.step == other.step and err.detail == other.detail
+                for column in ("steps", "times", "losses", "grad_norms_sq", "thetas"):
+                    np.testing.assert_array_equal(getattr(err.trajectory, column),
+                                                  getattr(other.trajectory, column))
+        else:
+            np.testing.assert_array_equal(one[name], two[name])
+
+
 class TestFiniteDataRows:
     def assert_row_matches(self, traj, records):
         np.testing.assert_array_equal(traj.steps, [k for k, _, _, _ in records])
@@ -910,3 +940,32 @@ class TestFiniteDataRows:
             records = plain_step_loop(model, theta0, steps, stride, step)
             self.assert_row_matches(run.trajectory(r), records)
             np.testing.assert_array_equal(run.finals[r], records[-1][3])
+
+    @pytest.mark.parametrize("make_model, tripping_lr", [(small_logistic, 2500.0), (small_mlp, 1e8)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_rows_do_not_depend_on_the_row_split(self, make_model, tripping_lr, cpus, monkeypatch):
+        # Split, rows 2-4 (two CPUs) or 1-2 and 3-4 (three) run in forked
+        # children.  Row 4 trips the guard there, and its failure comes back
+        # with its child's buffer.
+        model = make_model()
+        theta0 = np.full(model.param_dim, 0.2)
+        lrs, ms, seeds = [0.1, 0.3, 0.2, 0.05, tripping_lr], [4, 8, 2, 1, 4], [51, 52, 53, 54, 55]
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        forks = spy_on_fork(monkeypatch)
+        runs = []
+        for workers, forked in ((1, 0), (None, cpus - 1)):  # one process, then one per CPU
+            runs.append(_advance_rows(model, theta0, lrs, ms, seeds, 60, record_stride=7,
+                                      snapshots=True, accuracy=True, workers=workers))
+            assert len(forks) == forked
+        assert list(runs[1].failures) == [4] and runs[1].failures[4].step > 1
+        assert_same_rows(*runs)
+
+    @pytest.mark.parametrize("make_model", [small_logistic, small_mlp])
+    def test_accuracy_column_is_the_model_accuracy_at_the_records(self, make_model):
+        model = make_model()
+        args = (model, np.full(model.param_dim, 0.2), [0.1, 0.3], [4, 8], [41, 42], 60)
+        assert _advance_rows(*args, record_stride=7).accuracies is None
+        run = _advance_rows(*args, record_stride=7, snapshots=True, accuracy=True)
+        for r in range(2):
+            np.testing.assert_array_equal(run.accuracies[:, r],
+                                          [model.accuracy(t) for t in run.trajectory(r).thetas])
