@@ -29,6 +29,7 @@ from functools import partial
 
 import numpy as np
 
+from .linalg import _write_csv
 from .problems import LossModel, QuadraticModel, as_param_vector
 
 __all__ = [
@@ -81,15 +82,20 @@ class DivergenceError(RuntimeError):
 _COUNT_LIMIT = int(np.iinfo(np.int64).max)
 
 
+def _check_batch_sizes(batch_sizes, error: type[Exception] = EngineError) -> None:
+    """Raise ``error`` unless every batch size is a finite whole number of at least 1."""
+    ms = np.asarray(batch_sizes)
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and fails the check
+        if not ((ms >= 1) & (ms % 1 == 0)).all():
+            raise error("batch_size must be a whole number of at least 1")
+
+
 def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
     lrs = np.asarray(learning_rates, dtype=float)
     if not (np.isfinite(lrs) & (lrs > 0)).all():
         raise EngineError("learning_rate must be positive and finite")
-    ms = np.asarray(batch_sizes)
-    with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and fails the check
-        if not ((ms >= 1) & (ms % 1 == 0)).all():
-            raise EngineError("batch_size must be a whole number of at least 1")
-    if (ms > _COUNT_LIMIT).any():
+    _check_batch_sizes(batch_sizes)
+    if (np.asarray(batch_sizes) > _COUNT_LIMIT).any():
         raise EngineError(f"batch_size must not exceed {_COUNT_LIMIT}")
     if steps < 1:
         raise EngineError("steps must be at least 1")
@@ -143,6 +149,11 @@ class Trajectory:
             raise EngineError("snapshot count must match record count")
 
 
+def _record_count(total_steps: int, stride: int) -> int:
+    """Records of a run: at every ``stride``-th step from 0, and at the last step."""
+    return -(-total_steps // stride) + 1
+
+
 class _Rows:
     """Strided records, final states and divergences of the rows of one run.
 
@@ -153,7 +164,7 @@ class _Rows:
     into ``accuracies``.  ``failures`` maps each row the guard stopped to
     its divergence, which carries the step it stopped at and the row's
     partial trajectory; the other rows ran to the horizon and left their
-    last state in ``finals``.
+    last state in ``finals``.  Every buffer starts zeroed.
     """
 
     # The columns of shape (records, rows, ...); one not asked for is None.
@@ -163,17 +174,14 @@ class _Rows:
                  accuracy: bool = False):
         if stride < 1:
             raise EngineError("record_stride must be at least 1")
-        grid = np.arange(0, total_steps + 1, stride, dtype=np.int64)
-        if grid[-1] != total_steps:
-            grid = np.append(grid, np.int64(total_steps))
-        n_rec = len(grid)
+        n_rec = _record_count(total_steps, stride)
         self.time_steps = np.asarray(time_steps, dtype=float)
         rows = self.time_steps.size
         self.stride = stride
-        self.steps = grid
-        self.losses = np.empty((n_rec, rows))
-        self.grad_norms_sq = np.empty((n_rec, rows))
-        self.accuracies = np.empty((n_rec, rows)) if accuracy else None
+        self.steps = np.append(np.arange(n_rec - 1, dtype=np.int64) * stride, np.int64(total_steps))
+        self.losses = np.zeros((n_rec, rows))
+        self.grad_norms_sq = np.zeros((n_rec, rows))
+        self.accuracies = np.zeros((n_rec, rows)) if accuracy else None
         self.thetas: np.ndarray | None = None
         if snapshots:
             if n_rec * rows * param_dim > SNAPSHOT_BUDGET:
@@ -183,10 +191,10 @@ class _Rows:
                     stacklevel=4,
                 )
             else:
-                self.thetas = np.empty((n_rec, rows, param_dim))
+                self.thetas = np.zeros((n_rec, rows, param_dim))
         self.counts = np.zeros(rows, dtype=np.int64)
         self.failures: dict[int, DivergenceError] = {}
-        self.finals = np.empty((rows, param_dim))
+        self.finals = np.zeros((rows, param_dim))
 
     def record(self, row: int, model: LossModel, step: int, theta: np.ndarray) -> None:
         """Append row ``row``'s loss, squared gradient norm and state at ``step``."""
@@ -672,8 +680,7 @@ def ou_eigenbasis_run(
         raise EngineError("eigenvalues must be positive and finite")
     if not (np.isfinite(learning_rate) and learning_rate >= 0):
         raise EngineError("learning_rate must be nonnegative and finite")
-    if batch_size < 1:
-        raise EngineError("batch_size must be at least 1")
+    _check_batch_sizes(batch_size)
     steps = _step_count(t_end, dt)
     p = lam.size
     z = np.zeros(p) if z0 is None else as_param_vector(z0, p)
@@ -720,19 +727,12 @@ def sgd_replica_ensemble(
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    lines = ["step,t,loss,grad_norm_sq"]
-    for k, t, loss, g in zip(traj.steps, traj.times, traj.losses, traj.grad_norms_sq):
-        lines.append(f"{int(k)},{float(t)!r},{float(loss)!r},{float(g)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = np.array([traj.times, traj.losses, traj.grad_norms_sq], dtype=float)
+    _write_csv(path, "step,t,loss,grad_norm_sq", [np.asarray(traj.steps, dtype=np.int64), *columns])
 
 
 def write_snapshots_csv(path, traj: Trajectory) -> None:
     if traj.thetas is None:
         raise EngineError("trajectory carries no snapshots")
-    p = traj.thetas.shape[1]
-    lines = ["step," + ",".join(f"theta_{i}" for i in range(p))]
-    for k, row in zip(traj.steps, traj.thetas):
-        lines.append(f"{int(k)}," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "step," + ",".join(f"theta_{i}" for i in range(traj.thetas.shape[1]))
+    _write_csv(path, header, [np.asarray(traj.steps, dtype=np.int64), *np.asarray(traj.thetas, dtype=float).T])

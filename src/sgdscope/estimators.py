@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory
+from .engine import Trajectory, _check_batch_sizes
 from .linalg import trace
 from .problems import LossModel, as_param_vector, gradient_covariance, hessian_dense
 
@@ -78,8 +78,12 @@ class PredictionReport:
 def _check_rate_and_batch(learning_rate: float, batch_size: int) -> None:
     if not (np.isfinite(learning_rate) and learning_rate > 0):
         raise EstimatorError("learning_rate must be positive and finite")
-    if batch_size < 1:
-        raise EstimatorError("batch_size must be at least 1")
+    _check_batch_sizes(batch_size, EstimatorError)
+
+
+def _check_burn_in(burn_in_fraction: float) -> None:
+    if not (0.0 <= burn_in_fraction < 1.0):
+        raise EstimatorError("burn_in_fraction must lie in [0, 1)")
 
 
 def _dense_traces(model: LossModel, theta) -> tuple[float, float, float]:
@@ -92,8 +96,7 @@ def _dense_traces(model: LossModel, theta) -> tuple[float, float, float]:
 
 def stationary_stats(traj: Trajectory, burn_in_fraction: float = 0.5) -> StationaryStats:
     """Averages over records with step >= burn_in_fraction * final step."""
-    if not (0.0 <= burn_in_fraction < 1.0):
-        raise EstimatorError("burn_in_fraction must lie in [0, 1)")
+    _check_burn_in(burn_in_fraction)
     threshold = burn_in_fraction * traj.steps[-1]
     mask = traj.steps >= threshold
     count = int(mask.sum())
@@ -167,8 +170,8 @@ def model_report(model: LossModel, theta, learning_rate: float, batch_size: int)
 
     Models above the dense guard raise ``problems.ModelError``.
     """
-    theta = as_param_vector(theta, model.param_dim)
-    tr_h, tr_sigma2, tr_mixed = _dense_traces(model, theta)
+    _check_rate_and_batch(learning_rate, batch_size)  # before the dense traces
+    tr_h, tr_sigma2, tr_mixed = _dense_traces(model, as_param_vector(theta, model.param_dim))
     return prediction_report(learning_rate, batch_size, tr_h, tr_sigma2, tr_mixed)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import engine
 from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
-from .estimators import _dense_traces, prediction_report, stationary_stats
-from .linalg import SymMatrix
+from .estimators import _check_burn_in, _dense_traces, prediction_report, stationary_stats
+from .linalg import SymMatrix, _write_csv
 from .problems import LossModel, QuadraticModel, _check_dense_guard, as_param_vector
 
 __all__ = [
@@ -176,6 +176,7 @@ def scan_bs_lr(
         raise ExperimentError("grid must contain at least one (lr, batch) pair")
     if replicas < 1:
         raise ExperimentError("replicas must be at least 1")
+    _check_burn_in(burn_in_fraction)
     _check_dense_guard(model)
     theta_star, converged = _locate_minimum(model, theta_start, flow_t, flow_dt)
     base_loss = float(model.loss(theta_star))
@@ -229,12 +230,8 @@ def scan_bs_lr(
 
 
 def write_scan_csv(path, rows: list[ScanRow]) -> None:
-    lines = [",".join(key for key, _ in _SCAN_COLUMNS)]
-    for row in rows:
-        cells = (getattr(row, name) for _, name in _SCAN_COLUMNS)
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, ",".join(key for key, _ in _SCAN_COLUMNS),  # str of a float is its repr
+               [[getattr(row, name) for row in rows] for _, name in _SCAN_COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +341,7 @@ def linear_scaling_experiment(
     off_ratio = [_checked_pair("off-ratio pair", lr, m) for lr, m in off_ratio]
     if run_length < 2:
         raise ExperimentError("run_length must be at least 2")
+    _check_burn_in(burn_in_fraction)
     configs = [("base", "base", base_lr, base_m)]
     for c in factors:
         if not (math.isfinite(c) and round(base_m * c) >= 1):
@@ -395,26 +393,18 @@ def linear_scaling_experiment(
 
 
 def write_curves_csv(path, curves: CurveSet) -> None:
-    has_accuracy = curves.base.accuracy is not None
+    entries = [curves.base] + curves.entries
+    columns = [sum(([getattr(e, key)] * len(e.trajectory.steps) for e in entries), [])
+               for key in ("label", "ratio_class")]
+    columns += [np.concatenate([np.asarray(getattr(e.trajectory, key), dtype=dtype) for e in entries])
+                for key, dtype in (("steps", np.int64), ("times", float), ("losses", float))]
     header = "config_label,ratio_class,step,t,loss"
-    if has_accuracy:
-        header += ",accuracy"
-    lines = [header]
-    for entry in [curves.base] + curves.entries:
-        traj = entry.trajectory
-        for i in range(len(traj.steps)):
-            cells = [
-                entry.label,
-                entry.ratio_class,
-                str(int(traj.steps[i])),
-                repr(float(traj.times[i])),
-                repr(float(traj.losses[i])),
-            ]
-            if has_accuracy:
-                cells.append("" if entry.accuracy is None else repr(float(entry.accuracy[i])))
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if curves.base.accuracy is not None:
+        header += ",accuracy"  # an entry without accuracy gets empty cells, in an object column
+        columns.append(np.concatenate([
+            np.full(len(e.trajectory.steps), "", dtype=object) if e.accuracy is None
+            else np.asarray(e.accuracy[: len(e.trajectory.steps)], dtype=float) for e in entries]))
+    _write_csv(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +560,16 @@ def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replic
     All replicas start at the origin and advance in lockstep; replica ``r``
     draws from ``derive_seed(seed, r)``.
     """
-    run = _advance_rows(
-        model, np.zeros(model.param_dim), [learning_rate] * replicas, [batch_size] * replicas,
-        [derive_seed(seed, r) for r in range(replicas)], steps,
-        record_stride=max(1, steps // 5000), snapshots=True,
-    )
-    if run.thetas is None:
+    stride = max(1, steps // 5000)
+    if engine._record_count(steps, stride) * replicas * model.param_dim > engine.SNAPSHOT_BUDGET:
         raise ExperimentError(
             f"the saddle probe needs snapshots, and {replicas} replicas of {steps} steps "
             f"in {model.param_dim} dimensions exceed the snapshot budget {engine.SNAPSHOT_BUDGET}"
         )
+    run = _advance_rows(
+        model, np.zeros(model.param_dim), [learning_rate] * replicas, [batch_size] * replicas,
+        [derive_seed(seed, r) for r in range(replicas)], steps, record_stride=stride, snapshots=True,
+    )
     for r in range(replicas):
         yield run.trajectory(r), r in run.failures
 
@@ -613,7 +603,7 @@ def saddle_divergence_experiment(
     recursion.  The report also carries its small-step limit
     lr * |lambda_neg| as ``expected_slope_small_lr``.  The slopes need every
     replica's snapshots, so a run whose snapshots would exceed the engine's
-    ``SNAPSHOT_BUDGET`` raises :class:`ExperimentError`.
+    ``SNAPSHOT_BUDGET`` raises :class:`ExperimentError` before any replica steps.
     """
     if replicas < 1 or steps < 1:
         raise ExperimentError("replicas and steps must be positive")

@@ -3,7 +3,8 @@
 A validated symmetric-matrix container, the symmetric eigendecomposition
 (LAPACK through numpy), a positive-semidefinite square root, and a solver
 for the stationary covariance equation ``G @ H + H @ G = Q`` with ``H``
-symmetric positive definite.
+symmetric positive definite.  It also owns the CSV format: every table
+the package writes goes through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ PSD_EIGENVALUE_SLACK = 1e-10
 # Positive-definiteness margin required of the curvature matrix in
 # solve_lyapunov, relative to its spectral norm.
 PD_MARGIN = 1e-12
+# CSV rows formatted and written at a time; bounds the text held at once.
+_CSV_BLOCK_ROWS = 64
 
 
 class LinAlgError(ValueError):
@@ -168,13 +171,20 @@ def trace(matrix: SymMatrix) -> float:
     return float(np.trace(matrix.entries))
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write the line ``header``, then one per row of ``columns``: an array column's ``tolist()``
+    cells by ``repr`` if float, else by ``str``; a list column's cells by ``str``."""
+    with open(path, "wb") as fh:  # bytes: no newline translation on any platform
+        fh.write(f"{header}\n".encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [map(str, c) if type(c) is list else map(repr if c.dtype.kind == "f" else str, c.tolist())
+                     for c in (column[start : start + _CSV_BLOCK_ROWS] for column in columns)]
+            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+
+
 def write_matrix_csv(path, matrix: SymMatrix) -> None:
     """Write a matrix as CSV: a ``# dim=<n>`` comment line, then rows."""
-    lines = [f"# dim={matrix.dim}"]
-    for row in matrix.entries:
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, f"# dim={matrix.dim}", list(matrix.entries.T))
 
 
 def read_matrix_csv(path) -> SymMatrix:

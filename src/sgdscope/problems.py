@@ -20,6 +20,7 @@ from .linalg import (
     NotPositiveDefiniteError,
     PD_MARGIN,
     SymMatrix,
+    _write_csv,
     sqrt_spd,
     sym_eigendecompose,
 )
@@ -487,13 +488,8 @@ def generate_blobs(
 
 def write_dataset_csv(path, features, labels) -> None:
     x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    header = "label," + ",".join(f"f{i}" for i in range(x.shape[1]))
-    lines = [header]
-    for label, row in zip(y, x):
-        lines.append(str(int(label)) + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, "label," + ",".join(f"f{i}" for i in range(x.shape[1])),
+               [np.asarray(labels, dtype=int), *x.T])
 
 
 def read_dataset_csv(path):

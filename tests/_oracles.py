@@ -2,8 +2,10 @@
 
 These deliberately take different routes than the library: the stationary
 covariance oracle solves the full dim^2 x dim^2 Kronecker linear system by
-dense elimination, curvature checks use central finite differences, and
-eigen references come from numpy's LAPACK bindings.
+dense elimination, curvature checks use central finite differences,
+eigen references come from numpy's LAPACK bindings, and the CSV texts are
+built line by line and cell by cell, with ``repr(float(v))`` and
+``int(k)`` per cell, where the writers format whole columns in blocks.
 """
 
 import numpy as np
@@ -52,3 +54,51 @@ def logistic_example_grad(model, theta: np.ndarray, index: int) -> np.ndarray:
     x = model.features[index]
     resid = 1.0 / (1.0 + np.exp(-float(x @ theta))) - model.labels[index]
     return resid * x + model.l2_penalty * theta
+
+
+def _lines(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def trajectory_csv(traj) -> str:
+    return _lines("step,t,loss,grad_norm_sq", (
+        f"{int(k)},{float(t)!r},{float(loss)!r},{float(g)!r}"
+        for k, t, loss, g in zip(traj.steps, traj.times, traj.losses, traj.grad_norms_sq)))
+
+
+def snapshots_csv(traj) -> str:
+    header = "step," + ",".join(f"theta_{i}" for i in range(traj.thetas.shape[1]))
+    return _lines(header, (f"{int(k)}," + ",".join(repr(float(v)) for v in row)
+                           for k, row in zip(traj.steps, traj.thetas)))
+
+
+def matrix_csv(matrix) -> str:
+    return _lines(f"# dim={matrix.dim}", (",".join(repr(float(x)) for x in row) for row in matrix.entries))
+
+
+def dataset_csv(features, labels) -> str:
+    header = "label," + ",".join(f"f{i}" for i in range(np.shape(features)[1]))
+    return _lines(header, (str(int(y)) + "," + ",".join(repr(float(v)) for v in row)
+                           for y, row in zip(labels, features)))
+
+
+def scan_csv(rows, columns) -> str:
+    """``columns``: the (csv key, ScanRow field) pairs; a float cell by repr, any other by str."""
+    return _lines(",".join(key for key, _ in columns), (
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in (getattr(r, f) for _, f in columns))
+        for r in rows))
+
+
+def curves_csv(curves) -> str:
+    with_accuracy = curves.base.accuracy is not None
+    header = "config_label,ratio_class,step,t,loss" + (",accuracy" if with_accuracy else "")
+    rows = []
+    for e in [curves.base] + curves.entries:
+        traj = e.trajectory
+        for i in range(len(traj.steps)):
+            cells = [e.label, e.ratio_class, str(int(traj.steps[i])),
+                     repr(float(traj.times[i])), repr(float(traj.losses[i]))]
+            if with_accuracy:
+                cells.append("" if e.accuracy is None else repr(float(e.accuracy[i])))
+            rows.append(",".join(cells))
+    return _lines(header, rows)

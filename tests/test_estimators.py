@@ -122,6 +122,12 @@ class TestPredictors:
             predict_excess_loss_w2019(0.1, 0, 1.0)
         with pytest.raises(EstimatorError):
             predict_gradnorm_w2019(0.1, 1, -1.0)
+        model = quadratic([1.0, 2.0], [0.4, 0.4])
+        for batch_size in (2.5, float("nan")):
+            with pytest.raises(EstimatorError, match="^batch_size must be a whole number of at least 1$"):
+                predict_loss_j2018(0.1, batch_size, 1.0)
+            with pytest.raises(EstimatorError, match="^batch_size must be a whole number of at least 1$"):
+                model_report(model, np.zeros(2), 0.1, batch_size)
 
     def test_lyapunov_route_equality(self):
         # The stationary-covariance route and the trace shortcut must agree:

@@ -14,6 +14,7 @@ import sgdscope
 from sgdscope import engine, experiments
 from sgdscope.cli import main
 from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
+from sgdscope.estimators import EstimatorError
 from sgdscope.experiments import (
     CurveSet,
     ExperimentError,
@@ -144,7 +145,7 @@ class TestScanBsLr:
         assert math.isnan(rows[0].magnitude_difference)
         assert np.isfinite(rows[0].measured_grad_norm_sq)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         model = isotropic_quadratic(1, 1.0, 0.1)
         with pytest.raises(ExperimentError):
             scan_bs_lr(model, [], run_length=10, replicas=1, master_seed=0)
@@ -152,6 +153,11 @@ class TestScanBsLr:
             scan_bs_lr(model, [(0.1, 1)], run_length=10, replicas=0, master_seed=0)
         with pytest.raises(ExperimentError, match=r"^grid pair \(lr 0.1, bs 2.5\)"):
             scan_bs_lr(model, [(0.1, 2.5)], run_length=10, replicas=1, master_seed=0)
+        # The burn-in is refused before any run.
+        monkeypatch.setattr(experiments, "_run_rows", lambda *args, **kwargs: pytest.fail("a run started"))
+        for fraction in (1.5, 1.0, -0.1, float("nan")):
+            with pytest.raises(EstimatorError, match=r"^burn_in_fraction must lie in \[0, 1\)$"):
+                scan_bs_lr(model, [(0.1, 2)], 200_000, 2, 0, burn_in_fraction=fraction)
 
     def test_csv_schema(self, tmp_path):
         model = isotropic_quadratic(1, 1.0, 0.1)
@@ -367,6 +373,13 @@ class TestLinearScaling:
             linear_scaling_experiment(model, base=(0.05, 2), factors=[1, factor], off_ratio=[],
                                       run_length=100, seed=0)
 
+    @pytest.mark.parametrize("fraction", [2.0, -1.0, 1.0, float("nan")])
+    def test_burn_in_outside_the_window_rejected_before_any_run(self, fraction, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_rows", lambda *args, **kwargs: pytest.fail("a run started"))
+        with pytest.raises(EstimatorError, match=r"^burn_in_fraction must lie in \[0, 1\)$"):
+            linear_scaling_experiment(isotropic_quadratic(1, 1.0, 0.2), base=(0.05, 2), factors=[2],
+                                      off_ratio=[], run_length=100, seed=0, burn_in_fraction=fraction)
+
     def test_non_positive_pairs_rejected(self):
         model = isotropic_quadratic(1, 1.0, 0.2)
         with pytest.raises(ExperimentError, match=r"base pair \(lr 0, bs 2\)"):
@@ -538,9 +551,10 @@ class TestSaddleDivergence:
         monkeypatch.setattr(engine, "SNAPSHOT_BUDGET", 300)
         args = (SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.eye(2)), 0.01, 1, 100)
         saddle_divergence_experiment(*args, 1, 0)
-        with pytest.warns(UserWarning, match="404 entries"):
-            with pytest.raises(ExperimentError, match="snapshot budget 300"):
-                saddle_divergence_experiment(*args, 2, 0)
+        # The over-budget run is refused before any row steps.
+        monkeypatch.setattr(engine, "_lockstep", lambda *args, **kwargs: pytest.fail("a row stepped"))
+        with pytest.raises(ExperimentError, match="snapshot budget 300"):
+            saddle_divergence_experiment(*args, 2, 0)
 
     def test_report_dict_is_json_serializable(self):
         report = saddle_divergence_experiment(

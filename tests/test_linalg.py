@@ -17,7 +17,11 @@ from sgdscope.linalg import (
     write_matrix_csv,
 )
 
+import _oracles
 from _oracles import lyapunov_kron_oracle, random_spd, random_symmetric
+from sgdscope import engine, experiments, linalg, problems
+from sgdscope.engine import Trajectory
+from sgdscope.experiments import CurveEntry, CurveSet, ScanRow
 
 
 class TestSymMatrix:
@@ -227,3 +231,78 @@ class TestMatrixCsv:
         path.write_text("# dim=2\n1.0,0.0\nabc,1.0\n")
         with pytest.raises(LinAlgError, match=f"^{re.escape(str(path))}: malformed cell in 'abc,1.0'$"):
             read_matrix_csv(path)
+
+
+# Floats whose text is easy to get wrong: signed zero, the smallest subnormal,
+# a float printed in exponent form, a sum that is not its decimal, NaN, inf.
+SPECIAL = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf")]
+MANY = linalg._CSV_BLOCK_ROWS * 2 + 5
+
+
+def _traj(steps, times=None, thetas=None):
+    steps = np.asarray(steps)
+    values = np.resize(np.array(SPECIAL), len(steps))
+    return Trajectory(1, steps, steps * 0.5 if times is None else np.asarray(times), values,
+                      values[::-1].copy(), thetas)
+
+
+def _scan_row(i, batch_size=4, value=0.1 + 0.2):
+    return ScanRow(f"exp{i:02d}", batch_size, 0.05, batch_size / 0.05, value, 1e16, -0.0, 5e-324,
+                   float("nan"), float("inf"), 1.0, 2.5, value, 3)
+
+
+def _scan_oracle(rows):
+    return _oracles.scan_csv(rows, experiments._SCAN_COLUMNS)
+
+
+def _curves(lengths, accuracy):
+    entries = []
+    for i, n in enumerate(lengths):
+        acc = None if accuracy[i] is None else np.resize(np.array(SPECIAL + [0.25]), n)
+        entries.append(CurveEntry(f"lr{i}_bs{i + 1}", "base" if i == 0 else "same_ratio", 0.1, i + 1,
+                                  _traj(np.arange(n) * 3), np.zeros(0), 0.0, acc))
+    return CurveSet(entries[0], entries[1:], np.zeros(0))
+
+
+_rng = np.random.default_rng(2020)
+WRITER_CASES = {
+    "trajectory-special": (engine.write_trajectory_csv, _oracles.trajectory_csv, (_traj(np.arange(6)),)),
+    "trajectory-int64-steps": (engine.write_trajectory_csv, _oracles.trajectory_csv,
+                               (_traj(np.array([0, 2**53 + 1, 2**62 + 3], dtype=np.int64)),)),
+    "trajectory-float-steps-int-times": (engine.write_trajectory_csv, _oracles.trajectory_csv,
+                                         (_traj(np.array([0.0, 2.0, 5.0]), times=np.array([0, 3, 7])),)),
+    "trajectory-many": (engine.write_trajectory_csv, _oracles.trajectory_csv,
+                        (_traj(np.arange(MANY), times=_rng.standard_normal(MANY)),)),
+    "snapshots-special": (engine.write_snapshots_csv, _oracles.snapshots_csv,
+                          (_traj(np.arange(6), thetas=np.array([SPECIAL, SPECIAL[::-1]]).T),)),
+    "snapshots-many": (engine.write_snapshots_csv, _oracles.snapshots_csv,
+                       (_traj(np.arange(MANY) * 7, thetas=_rng.standard_normal((MANY, 3))),)),
+    "matrix-special": (linalg.write_matrix_csv, _oracles.matrix_csv,
+                       (SymMatrix(np.array([[-0.0, 5e-324], [5e-324, 1e16]]) + np.diag([0.0, 0.1 + 0.2])),)),
+    "matrix-many": (linalg.write_matrix_csv, _oracles.matrix_csv, (SymMatrix(random_symmetric(_rng, MANY)),)),
+    "dataset-special": (problems.write_dataset_csv, _oracles.dataset_csv,
+                        (np.array([SPECIAL, SPECIAL[::-1]]).T, np.array([0, 1, 2, 0, 1, 2]))),
+    "dataset-many": (problems.write_dataset_csv, _oracles.dataset_csv,
+                     (_rng.standard_normal((MANY, 2)), np.arange(MANY) % 3)),
+    "scan-empty": (experiments.write_scan_csv, _scan_oracle, ([],)),
+    "scan-one-row": (experiments.write_scan_csv, _scan_oracle, ([_scan_row(1)],)),
+    "scan-many": (experiments.write_scan_csv, _scan_oracle,
+                  ([_scan_row(i, i % 7 + 1, float(i)) for i in range(MANY)],)),
+    "curves-accuracy": (experiments.write_curves_csv, _oracles.curves_csv, (_curves([50, 50, 40], [1, 1, 1]),)),
+    "curves-no-accuracy": (experiments.write_curves_csv, _oracles.curves_csv,
+                           (_curves([3, 70], [None, None]),)),
+    "curves-entry-without-accuracy": (experiments.write_curves_csv, _oracles.curves_csv,
+                                      (_curves([20, 60], [1, None]),)),
+}
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_writer_bytes_match_the_cell_by_cell_oracle(self, tmp_path, case):
+        writer, oracle, args = WRITER_CASES[case]
+        path = tmp_path / "out.csv"
+        writer(path, *args)
+        expected = oracle(*args)
+        assert path.read_bytes() == expected.encode("utf-8")
+        if case.endswith("many"):
+            assert expected.count("\n") > 2 * linalg._CSV_BLOCK_ROWS + 1
