@@ -121,6 +121,11 @@ def _auto_stride(cfg: RunConfig, total_steps: int) -> int:
     return max(1, total_steps // 10_000)
 
 
+def _present(cfg: RunConfig, *names) -> dict:
+    """Those of ``names`` that ``cfg`` reads, with their values, as keyword arguments."""
+    return {name: getattr(cfg, name) for name in names if hasattr(cfg, name)}
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -141,7 +146,8 @@ def _trajectory_files(traj):
 
 def _cmd_simulate(cfg: RunConfig):
     model = _build_model(cfg)
-    run_cfg = SgdConfig(cfg.learning_rate, cfg.batch_size, cfg.steps, cfg.master_seed, cfg.sampling)
+    run_cfg = SgdConfig(cfg.learning_rate, cfg.batch_size, cfg.steps, cfg.master_seed,
+                        **_present(cfg, "sampling"))
     traj = sgd_run(
         model, _start_point(cfg, model), run_cfg,
         record_stride=_auto_stride(cfg, cfg.steps), snapshots=cfg.snapshots,
@@ -210,8 +216,7 @@ def _cmd_scan(cfg: RunConfig):
         master_seed=cfg.master_seed,
         theta_start=_start_point(cfg, model),
         record_stride=cfg.record_stride or None,
-        burn_in_fraction=cfg.burn_in, workers=cfg.workers,
-        flow_t=cfg.flow_t, flow_dt=cfg.flow_dt,
+        burn_in_fraction=cfg.burn_in, workers=cfg.workers, **_present(cfg, "flow_t", "flow_dt"),
     )
     yield "scan.csv", write_scan_csv, rows
     yield "scan.json", _write_json, [row.as_dict() for row in rows]
@@ -286,8 +291,10 @@ def _cmd_gen_data(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each maps to its handler and to the keys it reads; parse_config
-# refuses any other key, and defaults, resolves and echoes only these.
+# Commands.  Each maps to its handler and to the keys it reads under any
+# model; parse_config refuses any other key, and any key of another model
+# than the one chosen (_MODEL_READS), and defaults, resolves and echoes only
+# the keys left.
 
 _RUN_KEYS = ("command", "out_dir", "master_seed")
 # The 13 keys _build_model reads, and the start point.
@@ -295,6 +302,18 @@ _MODEL_KEYS = _RUN_KEYS + (
     "model", "dim", "curvature_scale", "noise_scale", "hessian_diag", "noise_diag", "hessian_file",
     "noise_file", "dataset_file", "l2_penalty", "hidden_dim", "class_count", "model_seed", "theta0",
 )
+# Keys only a finite-data model reads: a quadratic draws its noise instead
+# of minibatches, and a scan knows its minimizer instead of searching for it.
+_FINITE_DATA_KEYS = ("sampling", "flow_t", "flow_dt")
+# The keys of _MODEL_KEYS and _FINITE_DATA_KEYS that each model reads,
+# beside "model" and "theta0", which every model reads.
+_MODEL_READS = {
+    "quadratic": ("dim", "curvature_scale", "noise_scale", "hessian_diag", "noise_diag",
+                  "hessian_file", "noise_file"),
+    "logistic": ("dataset_file", "l2_penalty") + _FINITE_DATA_KEYS,
+    "mlp": ("dataset_file", "hidden_dim", "class_count", "model_seed") + _FINITE_DATA_KEYS,
+}
+_PER_MODEL_KEYS = {key for keys in _MODEL_READS.values() for key in keys}
 
 COMMANDS = {
     "simulate": (_cmd_simulate, _MODEL_KEYS + (
@@ -491,7 +510,8 @@ def render_help(command=None) -> str:
         "",
         "--config FILE reads a flat 'key = value' file (# comments); flags",
         "given on the command line override file values.  A leading bare",
-        "word selects the command and wins over any 'command' key.",
+        "word selects the command and wins over any 'command' key.  A",
+        "model command reads only the keys of the model it builds.",
         "",
         "keys:",
     ]
@@ -499,6 +519,12 @@ def render_help(command=None) -> str:
         default = "(unset)" if spec.default is None else _format_value(spec.default)
         lines.append(f"  {spec.name:<16} {spec.kind:<11} default={default:<18} {spec.constraint}")
     return "\n".join(lines)
+
+
+def _refuse_unread(reader: str, raw_values: dict, keys) -> None:
+    ignored = [key for key in raw_values if key not in keys]
+    if ignored:
+        raise ConfigError(f"{reader} does not read key(s): {', '.join(ignored)}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -541,9 +567,11 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError("no command given (positional argument or 'command = ...' key)")
     command = positional_command or _parse_value(KEY_SPECS["command"], raw_values["command"])
     keys = COMMANDS[command][1]
-    ignored = [key for key in raw_values if key not in keys]
-    if ignored:
-        raise ConfigError(f"{command} does not read key(s): {', '.join(ignored)}")
+    _refuse_unread(command, raw_values, keys)
+    if "model" in keys:
+        model = _parse_value(KEY_SPECS["model"], raw_values.get("model", KEY_SPECS["model"].default))
+        keys = tuple(key for key in keys if key not in _PER_MODEL_KEYS or key in _MODEL_READS[model])
+        _refuse_unread(f"{command} with model={model}", raw_values, keys)
     values = {name: KEY_SPECS[name].default for name in keys}
     for key, raw in raw_values.items():
         values[key] = _parse_value(KEY_SPECS[key], raw)

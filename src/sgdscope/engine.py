@@ -274,6 +274,14 @@ def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None)
     vectors in the column order.  The column order makes ``q`` times as many
     numpy calls, so it pays only for many short vectors: beyond ``128 q``
     vectors (the two orders cost the same at about 100 q to 200 q).
+
+    The column order skips every term but the first whose entry of ``a`` is
+    exactly zero: ``x_k * 0`` cannot change a nonzero sum, so at most the
+    sign of an exact-zero result differs, which adding any centre with no
+    ``-0.0`` entry clears.  A diagonal or permutation map then costs one
+    multiply per column.  The row order keeps every term: there a zero would
+    have to be zero in a whole row of ``a``, and scanning a full map for
+    such rows costs more than it saves.
     """
     p, q = a.shape
     if out is None:
@@ -286,10 +294,11 @@ def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None)
         return out
     column = np.empty(x.shape[:-1])
     term = np.empty_like(column)
-    for j in range(q):
-        np.multiply(x[..., 0], a[0, j], out=column)
+    for j, coefs in enumerate(a.T.tolist()):
+        np.multiply(x[..., 0], coefs[0], out=column)
         for k in range(1, p):
-            column += np.multiply(x[..., k], a[k, j], out=term)
+            if coefs[k]:
+                column += np.multiply(x[..., k], coefs[k], out=term)
         out[..., j] = column
     return out
 
@@ -402,8 +411,17 @@ def _put_records(rec: _Rows, first: int, zs: np.ndarray, lam: np.ndarray, back: 
     if rec.thetas is not None:
         rec.thetas[first:last] = _rowwise_matmul(zs, back) + center
     weighted = zs * lam
-    rec.losses[first:last] = 0.5 * np.multiply(zs, weighted, out=zs).sum(axis=-1)
-    rec.grad_norms_sq[first:last] = np.multiply(weighted, weighted, out=weighted).sum(axis=-1)
+    losses, grads = np.multiply(zs, weighted, out=zs), np.multiply(weighted, weighted, out=weighted)
+    if lam.size >= 8:
+        rec.losses[first:last] = 0.5 * losses.sum(axis=-1)
+        rec.grad_norms_sq[first:last] = grads.sum(axis=-1)
+        return
+    # Below 8 terms, .sum(axis=-1) adds them in index order, starting from +0.0.
+    for terms, total in ((losses, rec.losses[first:last]), (grads, rec.grad_norms_sq[first:last])):
+        np.add(terms[..., 0], 0.0, out=total)
+        for k in range(1, lam.size):
+            total += terms[..., k]
+    rec.losses[first:last] *= 0.5
 
 
 def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray, basis: np.ndarray,
@@ -426,10 +444,16 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     largest |z| over the block and checks ||theta||^2 <= 1e24 only where
     that passes ``z_limit``, stopping the row at its first failing step (its
     states from there on are zeroed); then the records of the block's grid
-    steps, snapshots included, are computed in batches.  Every operation
-    acts on rows separately and each entry undergoes the same operations in
-    the same order as in a plain step loop, so a row's bits depend neither
-    on the other rows nor on the block size.
+    steps, snapshots included, are computed in batches.  A batch of
+    consecutive record steps (stride 1, or a single record) is a view of
+    the block's states, which the records overwrite: the last state is
+    already in ``z``.  Below p = 8 the record sums are elementwise adds of
+    the coordinates in index order from +0.0, the order in which
+    ``.sum(axis=-1)`` adds so few terms; from p = 8 on they are
+    ``.sum(axis=-1)``.  Every operation acts on rows separately and each
+    entry undergoes the same operations in the same order as in a plain
+    step loop, so a row's bits depend neither on the other rows nor on the
+    block size.
     """
     rows, p = out.time_steps.size, lam.size
     grid = out.steps
@@ -473,10 +497,9 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
             states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
         # A diverging row overflows before the guard sees it.
         with np.errstate(over="ignore", invalid="ignore"):
-            prev = z
+            prev, mul, sub = z, np.multiply, np.subtract
             for state in states:
-                np.multiply(prev, decay, out=scratch)
-                np.subtract(scratch, state, out=state)
+                sub(mul(prev, decay, scratch), state, state)
                 prev = state
             # Largest |z| per row: reduce over steps first, along contiguous
             # memory, and only then over the few coordinates.
@@ -500,7 +523,9 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
         last = int(np.searchsorted(grid, done + b, side="right"))
         at = grid[recorded:last] - (done + 1)
         for first in range(0, len(at), chunk):
-            _put_records(out, recorded + first, states[at[first : first + chunk]], lam, back, center)
+            pick = at[first : first + chunk]
+            zs = states[pick[0] : pick[-1] + 1] if pick[-1] - pick[0] == len(pick) - 1 else states[pick]
+            _put_records(out, recorded + first, zs, lam, back, center)
         recorded = last
         done += b
     out.counts[live] = recorded

@@ -113,6 +113,8 @@ class TestParsing:
             parse_config(["simulate", "--steps", "many"])
         with pytest.raises(ConfigError, match="sampling"):
             parse_config(["simulate", "--sampling", "sometimes"])
+        with pytest.raises(ConfigError, match="^sampling = 'sometimes' violates one of"):
+            parse_config(["simulate", "--model", "logistic", "--sampling", "sometimes"])
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 2
@@ -141,19 +143,42 @@ class TestParsing:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert parse_config(["scan"]).workers == 1
 
-    @pytest.mark.parametrize("command, key, value", [
-        ("clt", "learning_rate", "0.1"), ("scan", "batch_size", "4"),
-        ("scaling", "learning_rate", "0.1"), ("ou", "snapshots", "false"),
-        ("lyapunov", "model", "quadratic"), ("simulate", "workers", "1"),
+    @pytest.mark.parametrize("command, model, key, value", [
+        *(pytest.param(command, None, key, value, id=f"{command}-{key}-{value}") for command, key, value in [
+            ("clt", "learning_rate", "0.1"), ("scan", "batch_size", "4"),
+            ("scaling", "learning_rate", "0.1"), ("ou", "snapshots", "false"),
+            ("lyapunov", "model", "quadratic"), ("simulate", "workers", "1"),
+        ]),
+        # A model command refuses the keys of the other models.
+        ("simulate", "quadratic", "hidden_dim", "5"), ("simulate", "quadratic", "l2_penalty", "0.3"),
+        ("simulate", "quadratic", "sampling", "without_replacement"),
+        ("scan", "quadratic", "flow_t", "10"), ("scan", "quadratic", "flow_dt", "0.1"),
+        ("simulate", "mlp", "l2_penalty", "0.1"), ("scaling", "mlp", "dim", "3"),
+        ("estimate", "logistic", "hessian_diag", "1,2"), ("flow", "logistic", "noise_file", "c.csv"),
+        ("scan", "logistic", "model_seed", "3"), ("clt", "mlp", "curvature_scale", "2"),
     ])
-    def test_keys_a_command_does_not_read_are_refused(self, tmp_path, capsys, command, key, value):
-        expected = f"error: config: {command} does not read key(s): {key}\n"
-        assert main([command, f"--{key}", value, "--out_dir", str(tmp_path / "flag")]) == 2
+    def test_keys_a_command_does_not_read_are_refused(self, tmp_path, capsys, command, model, key,
+                                                      value):
+        reader = command if model is None else f"{command} with model={model}"
+        expected = f"error: config: {reader} does not read key(s): {key}\n"
+        chosen = [] if model is None else ["--model", model]
+        assert main([command, *chosen, f"--{key}", value, "--out_dir", str(tmp_path / "flag")]) == 2
         assert capsys.readouterr().err == expected
-        cfg_path = write_config(tmp_path / "run.cfg", f"command = {command}\n{key} = {value}\n")
+        lines = f"command = {command}\n" + ("" if model is None else f"model = {model}\n")
+        cfg_path = write_config(tmp_path / "run.cfg", f"{lines}{key} = {value}\n")
         assert main(["--config", cfg_path, "--out_dir", str(tmp_path / "file")]) == 2
         assert capsys.readouterr().err == expected
         assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    def test_every_key_a_model_does_not_read_is_named(self, capsys):
+        # The default model is the quadratic.
+        args = ["simulate", "--dim", "2", "--steps", "100", "--hidden_dim", "5", "--l2_penalty", "0.3",
+                "--master_seed", "1"]
+        for chosen in ([], ["--model", "quadratic"]):
+            assert main(args + chosen) == 2
+            assert capsys.readouterr().err == (
+                "error: config: simulate with model=quadratic does not read key(s): hidden_dim, l2_penalty\n"
+            )
 
     def test_entropy_seed_when_unset(self):
         a = parse_config(["simulate"]).master_seed
@@ -521,6 +546,25 @@ class TestCommands:
         outputs = sorted(p.name for p in first.iterdir() if p.suffix in (".csv", ".json"))
         assert outputs
         for name in outputs:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("model, read", [
+        ("quadratic", {"dim", "curvature_scale", "noise_scale"}),
+        ("logistic", {"dataset_file", "l2_penalty", "sampling"}),
+        ("mlp", {"dataset_file", "hidden_dim", "class_count", "model_seed", "sampling"}),
+    ], ids=["quadratic", "logistic", "mlp"])
+    def test_each_models_config_resolved_echoes_its_keys_and_runs_again(self, tmp_path, capsys, model,
+                                                                       read):
+        features, labels = generate_blobs(example_count=40, feature_dim=2, class_count=2, seed=3)
+        write_dataset_csv(tmp_path / "blobs.csv", features, labels)
+        data = [] if model == "quadratic" else ["--dataset_file", str(tmp_path / "blobs.csv")]
+        first, again = tmp_path / "first", tmp_path / "again"
+        self.run_ok(["simulate", "--model", model, *data, "--steps", "60", "--learning_rate", "0.05",
+                     "--snapshots", "true", "--out_dir", str(first), "--master_seed", "2"], capsys)
+        echoed = dict(line.split(" = ", 1) for line in (first / "config.resolved").read_text().splitlines())
+        assert set(echoed) & cli._PER_MODEL_KEYS == read
+        self.run_ok(["--config", str(first / "config.resolved"), "--out_dir", str(again)], capsys)
+        for name in ("trajectory.csv", "snapshots.csv", "simulate.json"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_gen_data_refuses_non_finite_features(self, tmp_path, capsys):

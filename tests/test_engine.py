@@ -727,6 +727,88 @@ class TestLockstepCore:
             np.testing.assert_array_equal(run.failures[3].trajectory.losses,
                                           [v for _, v, _, _ in refs[3][0]])
 
+    @pytest.mark.parametrize("model_kind", ["diagonal", "saddle"])
+    @pytest.mark.parametrize("stride", [1, 7, 9])
+    def test_rows_on_maps_with_exact_zeros_match_a_plain_loop_bitwise(self, model_kind, stride):
+        # A diagonal H and C, as the benchmark scan has, and the saddle
+        # diag(1, -1), whose eigenbasis is a permutation: their bases and
+        # noise maps hold exact zeros, which the column-order products skip.
+        # 700 % 9 != 0, so at stride 9 the last record is off the grid.
+        if model_kind == "diagonal":
+            model = make_quadratic(np.diag([0.5, 1.0, 1.5, 2.0, 2.5]), np.linspace(-1.0, 1.0, 5),
+                                   np.diag([0.2, 0.1, 0.3, 0.2, 0.4]))
+            # Row 3 grows by a factor 1.25 per step along the top mode.
+            lrs = np.array([0.01, 0.1, 0.5, 0.9, 0.3, 0.04])
+        else:
+            model = QuadraticModel(SymMatrix(np.diag([1.0, -1.0])), np.zeros(2), SymMatrix(np.eye(2)),
+                                   require_positive_definite=False)
+            # Every row grows along the unstable mode; row 3 by a factor 2 per step.
+            lrs = np.array([0.01, 0.02, 0.03, 1.0, 0.005, 0.025])
+        vec = model.hessian_eig.eigenvectors
+        assert (vec == 0).any() and (model.noise_sqrt.T @ vec == 0).any()
+        theta0 = model.minimizer + 0.5
+        ms, seeds, steps = [1, 4, 2, 1, 8, 3], [61, 62, 63, 64, 65, 66], 700
+        refs = [reference_row(model, theta0, lrs[r], ms[r], seeds[r], steps, stride)
+                for r in range(6)]
+        assert [stop is None for _, _, stop in refs] == [True, True, True, False, True, True]
+        stop = refs[3][2]
+        for block, snapshots in ((13, False), (13, True), (512, False), (512, True)):
+            assert stop % block != 0
+            run = _advance_rows(model, theta0, lrs, ms, seeds, steps, record_stride=stride,
+                                snapshots=snapshots, block=block)
+            assert list(run.failures) == [3] and run.failures[3].step == stop
+            for r, (records, final, _) in enumerate(refs):
+                traj = run.trajectory(r)
+                assert traj.steps[-1] == (steps if r != 3 else records[-1][0])
+                self.assert_row_matches(traj, records)
+                assert (traj.thetas is None) == (not snapshots)
+                if r != 3:
+                    np.testing.assert_array_equal(run.finals[r], final)
+            self.assert_row_matches(run.failures[3].trajectory, refs[3][0])
+
+    @pytest.mark.parametrize("order", ["row", "column"])
+    def test_rowwise_product_on_maps_with_exact_zeros(self, order):
+        rng = np.random.default_rng(12)
+        p = 5
+        dense = rng.standard_normal((p, p))
+        zero_column = dense.copy()
+        zero_column[:, 2] = 0.0
+        negative_zeros = np.where(rng.random((p, p)) < 0.4, -0.0, dense)
+        maps = {
+            "diagonal": np.diag(rng.standard_normal(p)),
+            "permutation": np.eye(p)[rng.permutation(p)],
+            "negative permutation": -np.eye(p)[::-1],
+            "upper triangular": np.triu(dense),
+            "zero column": zero_column,
+            "-0.0 entries": negative_zeros,
+            "-0.0 off the diagonal": np.where(np.eye(p) == 1, dense, -0.0),
+        }
+        shape = (4, 3, p) if order == "row" else (64, 512, p)
+        # The row order serves up to 128 vectors per entry of the map.
+        assert (np.prod(shape) <= 128 * p * p) == (order == "row")
+        x = rng.standard_normal(shape)
+        x[0, 0] = 0.0
+        for name, a in maps.items():
+            np.testing.assert_array_equal(_rowwise_matmul(x, a), in_order_matmul(x, a), err_msg=name)
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_record_sums_are_numpys_sums_bit_for_bit(self, p):
+        # Below 8 terms the records add coordinates one by one, in the order
+        # .sum(axis=-1) adds them; this fails if numpy changes that order.
+        rng = np.random.default_rng(p)
+        lam = rng.standard_normal(p) * 10.0 ** rng.integers(-3, 4, p)
+        lam[0] = -abs(lam[0])  # at p = 1 a zero state's loss is a lone -0.0 term
+        for records, rows in ((1, 1), (26, 1), (512, 6), (3, 2000)):
+            zs = rng.standard_normal((records, rows, p)) * 10.0 ** rng.integers(-8, 9, (records, rows, p))
+            zs[:, ::5] = 0.0  # exact zeros: a negative lam gives -0.0 terms
+            weighted = zs * lam
+            losses = 0.5 * (zs * weighted).sum(axis=-1)
+            grads = (weighted * weighted).sum(axis=-1)
+            rec = engine._Rows(np.ones(rows), records - 1, 1, p, False)
+            engine._put_records(rec, 0, zs, lam, np.eye(p), np.zeros(p))
+            assert rec.losses.tobytes() == losses.tobytes()
+            assert rec.grad_norms_sq.tobytes() == grads.tobytes()
+
     def assert_row_matches(self, traj, records):
         np.testing.assert_array_equal(traj.steps, [k for k, _, _, _ in records])
         np.testing.assert_array_equal(traj.losses, [v for _, v, _, _ in records])
