@@ -4,8 +4,10 @@
 Runs every ``configs/*.cfg`` with ``SGDSCOPE_WORKERS=1`` and every ``demos/*.py``
 in a temporary directory, against the source tree given as the argument
 (default: the checkout this script sits in), and prints ``<sha256>  <name>``
-for each ``.csv``/``.json`` file written and for each demo's stdout.
-``config.resolved`` is skipped: its ``out_dir`` line is a path.
+for each ``.csv``/``.json`` file written, for each demo's stdout, and for
+each config's ``config.resolved`` echo.  The echo is digested without its
+``out_dir`` line, with its input paths taken relative to the source tree,
+so that it does not depend on where the tree or the temporary directory is.
 
 Two trees give byte-identical outputs when their listings are equal:
 
@@ -29,6 +31,18 @@ def _run(args, cwd: Path, env: dict) -> bytes:
     return done.stdout
 
 
+def _echo(path: Path, root: Path) -> bytes:
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition(" = ")
+        if key == "out_dir":
+            continue
+        if key.endswith("_file"):
+            value = os.path.relpath(path.parent / value, root)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines).encode()
+
+
 def _digests(root: Path, work: Path):
     env = dict(os.environ, PYTHONPATH=str(root / "src"), SGDSCOPE_WORKERS="1")
     for cfg in sorted((root / "configs").glob("*.cfg")):
@@ -42,7 +56,12 @@ def _digests(root: Path, work: Path):
         yield f"demos/{demo.stem}/stdout", hashlib.sha256(stdout).hexdigest()
     for path in sorted(work.rglob("*")):
         if path.suffix in (".csv", ".json"):
-            yield str(path.relative_to(work)), hashlib.sha256(path.read_bytes()).hexdigest()
+            data = path.read_bytes()
+        elif path.name == "config.resolved":
+            data = _echo(path, root)
+        else:
+            continue
+        yield str(path.relative_to(work)), hashlib.sha256(data).hexdigest()
 
 
 def main(argv: list[str]) -> int:

@@ -65,7 +65,8 @@ class ConfigError(ValueError):
 
 
 def _matrix_from_keys(cfg: RunConfig, name: str, scale_key: str, dim):
-    """``<name>_file``, else ``<name>_diag``, else ``scale_key`` times the ``dim()`` identity."""
+    """The one source of ``name`` that parse_config leaves set: ``<name>_file``,
+    ``<name>_diag``, or ``scale_key`` times the ``dim()`` identity."""
     path = getattr(cfg, f"{name}_file")
     if path is not None:
         return read_matrix_csv(path)
@@ -86,21 +87,25 @@ def _quadratic_matrices(cfg: RunConfig):
     return hessian, noise
 
 
-def _build_model(cfg: RunConfig):
-    if cfg.model == "quadratic":
-        hessian, noise = _quadratic_matrices(cfg)
-        return make_quadratic(hessian, np.zeros(hessian.dim), noise)
-    if cfg.dataset_file is None:
-        raise ConfigError(f"dataset_file is required for model={cfg.model}")
+def _build_quadratic(cfg: RunConfig):
+    hessian, noise = _quadratic_matrices(cfg)
+    return make_quadratic(hessian, np.zeros(hessian.dim), noise)
+
+
+def _build_logistic(cfg: RunConfig):
+    return make_logistic(*read_dataset_csv(cfg.dataset_file), cfg.l2_penalty)
+
+
+def _build_mlp(cfg: RunConfig):
     features, labels = read_dataset_csv(cfg.dataset_file)
-    if cfg.model == "logistic":
-        return make_logistic(features, labels, cfg.l2_penalty)
     observed = int(labels.max()) + 1
     if observed > cfg.class_count:
-        raise ConfigError(
-            f"class_count = {cfg.class_count} but the dataset contains label {observed - 1}"
-        )
+        raise ConfigError(f"class_count = {cfg.class_count} but the dataset contains label {observed - 1}")
     return make_mlp(features.shape[1], cfg.hidden_dim, cfg.class_count, (features, labels), cfg.model_seed)
+
+
+def _build_model(cfg: RunConfig):
+    return MODELS[cfg.model][0](cfg)
 
 
 def _start_point(cfg: RunConfig, model) -> np.ndarray:
@@ -196,25 +201,11 @@ def _cmd_ou(cfg: RunConfig):
     yield "ou.json", _write_json, payload
 
 
-def _paired(cfg: RunConfig, lr_key: str, bs_key: str, required: bool):
-    lrs = getattr(cfg, lr_key)
-    bss = getattr(cfg, bs_key)
-    if not lrs and not bss:
-        if required:
-            raise ConfigError(f"{lr_key} and {bs_key} are required for this command")
-        return []
-    if lrs is None or bss is None or len(lrs) != len(bss):
-        raise ConfigError(f"{lr_key} and {bs_key} must be lists of equal length")
-    return list(zip(lrs, bss))
-
-
 def _cmd_scan(cfg: RunConfig):
     model = _build_model(cfg)
-    grid = _paired(cfg, "lr_list", "bs_list", required=True)
     rows = scan_bs_lr(
-        model, grid, run_length=cfg.steps, replicas=cfg.replicas,
-        master_seed=cfg.master_seed,
-        theta_start=_start_point(cfg, model),
+        model, list(zip(cfg.lr_list, cfg.bs_list)), run_length=cfg.steps, replicas=cfg.replicas,
+        master_seed=cfg.master_seed, theta_start=_start_point(cfg, model),
         record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers, **_present(cfg, "flow_t", "flow_dt"),
     )
@@ -224,14 +215,10 @@ def _cmd_scan(cfg: RunConfig):
 
 def _cmd_scaling(cfg: RunConfig):
     model = _build_model(cfg)
-    if cfg.base_lr is None or cfg.base_bs is None:
-        raise ConfigError("base_lr and base_bs are required for the scaling command")
-    off = _paired(cfg, "off_lr_list", "off_bs_list", required=False)
     curves = linear_scaling_experiment(
         model, base=(cfg.base_lr, cfg.base_bs), factors=list(cfg.factors),
-        off_ratio=off, run_length=cfg.steps, seed=cfg.master_seed,
-        theta0=_start_point(cfg, model),
-        record_stride=cfg.record_stride or None,
+        off_ratio=list(zip(cfg.off_lr_list, cfg.off_bs_list)), run_length=cfg.steps,
+        seed=cfg.master_seed, theta0=_start_point(cfg, model), record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers,
     )
     yield "curves.csv", write_curves_csv, curves
@@ -240,19 +227,14 @@ def _cmd_scaling(cfg: RunConfig):
 
 def _cmd_clt(cfg: RunConfig):
     model = _build_model(cfg)
-    if cfg.delta_list is None:
-        raise ConfigError("delta_list is required for the clt command")
     report = clt_experiment(
-        model, list(cfg.delta_list), cfg.batch_size, cfg.t_end, cfg.replicas,
-        cfg.master_seed,
-        theta0=None if cfg.theta0 is None else np.asarray(cfg.theta0, float),
+        model, list(cfg.delta_list), cfg.batch_size, cfg.t_end, cfg.replicas, cfg.master_seed,
+        theta0=_start_point(cfg, model),
     )
     yield "clt.json", _write_json, report.as_dict()
 
 
 def _cmd_saddle(cfg: RunConfig):
-    if cfg.hessian_file is None and cfg.hessian_diag is None:
-        raise ConfigError("hessian_file or hessian_diag is required for the saddle command")
     report = saddle_divergence_experiment(
         *_quadratic_matrices(cfg), cfg.learning_rate, cfg.batch_size, cfg.steps,
         cfg.replicas, cfg.master_seed,
@@ -268,8 +250,6 @@ def _cmd_estimate(cfg: RunConfig):
 
 
 def _cmd_lyapunov(cfg: RunConfig):
-    if cfg.hessian_file is None or cfg.noise_file is None:
-        raise ConfigError("hessian_file and noise_file are required for the lyapunov command")
     hessian = read_matrix_csv(cfg.hessian_file)
     noise = read_matrix_csv(cfg.noise_file)
     gamma = solve_lyapunov(hessian, noise)
@@ -291,50 +271,64 @@ def _cmd_gen_data(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each maps to its handler and to the keys it reads under any
-# model; parse_config refuses any other key, and any key of another model
-# than the one chosen (_MODEL_READS), and defaults, resolves and echoes only
-# the keys left.
+# Models and commands.  parse_config refuses any key the command does not
+# read, and any key of another model than the one chosen, then applies the
+# rules below; it defaults, resolves and echoes only the keys left.
 
-_RUN_KEYS = ("command", "out_dir", "master_seed")
-# The 13 keys _build_model reads, and the start point.
-_MODEL_KEYS = _RUN_KEYS + (
-    "model", "dim", "curvature_scale", "noise_scale", "hessian_diag", "noise_diag", "hessian_file",
-    "noise_file", "dataset_file", "l2_penalty", "hidden_dim", "class_count", "model_seed", "theta0",
-)
 # Keys only a finite-data model reads: a quadratic draws its noise instead
 # of minibatches, and a scan knows its minimizer instead of searching for it.
 _FINITE_DATA_KEYS = ("sampling", "flow_t", "flow_dt")
-# The keys of _MODEL_KEYS and _FINITE_DATA_KEYS that each model reads,
-# beside "model" and "theta0", which every model reads.
-_MODEL_READS = {
-    "quadratic": ("dim", "curvature_scale", "noise_scale", "hessian_diag", "noise_diag",
-                  "hessian_file", "noise_file"),
-    "logistic": ("dataset_file", "l2_penalty") + _FINITE_DATA_KEYS,
-    "mlp": ("dataset_file", "hidden_dim", "class_count", "model_seed") + _FINITE_DATA_KEYS,
+# Each model's builder, the keys it reads beside "model" and "theta0", which
+# every model reads, and the keys it requires.
+MODELS = {
+    "quadratic": (_build_quadratic, ("dim", "curvature_scale", "noise_scale", "hessian_diag",
+                                     "noise_diag", "hessian_file", "noise_file"), ()),
+    "logistic": (_build_logistic, ("dataset_file", "l2_penalty") + _FINITE_DATA_KEYS, ("dataset_file",)),
+    "mlp": (_build_mlp, ("dataset_file", "hidden_dim", "class_count", "model_seed")
+            + _FINITE_DATA_KEYS, ("dataset_file",)),
 }
-_PER_MODEL_KEYS = {key for keys in _MODEL_READS.values() for key in keys}
+_PER_MODEL_KEYS = {key for _, keys, _ in MODELS.values() for key in keys}
+# The sources of each quadratic matrix.  A run sets at most one; one that
+# sets none takes the last, whose keys have defaults.
+_MATRIX_SOURCES = {
+    "H": (("hessian_file",), ("hessian_diag",), ("dim", "curvature_scale")),
+    "C": (("noise_file",), ("noise_diag",), ("noise_scale",)),
+}
+_PAIRED_LISTS = (("lr_list", "bs_list"), ("off_lr_list", "off_bs_list"))
+_RUN_KEYS = ("command", "out_dir", "master_seed")
+
+
+def _command(handler, keys, models=(), required=()):
+    """A command's handler, every key it reads under any of ``models``, the
+    models it builds, and its required keys ("a|b": either one)."""
+    reads = [key for model in models for key in MODELS[model][1] if key not in _FINITE_DATA_KEYS]
+    if models:
+        keys = ("model",) + tuple(dict.fromkeys(reads)) + ("theta0",) + keys
+    return handler, _RUN_KEYS + keys, tuple(models), required
+
 
 COMMANDS = {
-    "simulate": (_cmd_simulate, _MODEL_KEYS + (
-        "learning_rate", "batch_size", "steps", "sampling", "record_stride", "snapshots", "burn_in")),
-    "flow": (_cmd_flow, _MODEL_KEYS + ("t_end", "dt", "record_stride")),
-    "ou": (_cmd_ou, _RUN_KEYS + (
+    "simulate": _command(_cmd_simulate, (
+        "learning_rate", "batch_size", "steps", "sampling", "record_stride", "snapshots", "burn_in"),
+        MODELS),
+    "flow": _command(_cmd_flow, ("t_end", "dt", "record_stride"), MODELS),
+    "ou": _command(_cmd_ou, (
         "eigenvalues", "learning_rate", "batch_size", "t_end", "dt", "record_stride", "burn_in")),
-    "scan": (_cmd_scan, _MODEL_KEYS + (
+    "scan": _command(_cmd_scan, (
         "lr_list", "bs_list", "steps", "replicas", "record_stride", "burn_in", "workers",
-        "flow_t", "flow_dt")),
-    "scaling": (_cmd_scaling, _MODEL_KEYS + (
+        "flow_t", "flow_dt"), MODELS, ("lr_list", "bs_list")),
+    "scaling": _command(_cmd_scaling, (
         "base_lr", "base_bs", "factors", "off_lr_list", "off_bs_list", "steps", "record_stride",
-        "burn_in", "workers")),
-    "clt": (_cmd_clt, _MODEL_KEYS + ("delta_list", "batch_size", "t_end", "replicas")),
-    "saddle": (_cmd_saddle, _RUN_KEYS + (
+        "burn_in", "workers"), MODELS, ("base_lr", "base_bs")),
+    "clt": _command(_cmd_clt, ("delta_list", "batch_size", "t_end", "replicas"), ("quadratic",),
+                    ("delta_list",)),
+    "saddle": _command(_cmd_saddle, (
         "hessian_file", "hessian_diag", "noise_file", "noise_diag", "noise_scale",
-        "learning_rate", "batch_size", "steps", "replicas")),
-    "estimate": (_cmd_estimate, _MODEL_KEYS + ("learning_rate", "batch_size")),
-    "lyapunov": (_cmd_lyapunov, _RUN_KEYS + ("hessian_file", "noise_file")),
-    "gen-data": (_cmd_gen_data, _RUN_KEYS + (
-        "example_count", "feature_dim", "class_count", "center_scale")),
+        "learning_rate", "batch_size", "steps", "replicas"), (), ("hessian_file|hessian_diag",)),
+    "estimate": _command(_cmd_estimate, ("learning_rate", "batch_size"), MODELS),
+    "lyapunov": _command(_cmd_lyapunov, ("hessian_file", "noise_file"), (),
+                         ("hessian_file", "noise_file")),
+    "gen-data": _command(_cmd_gen_data, ("example_count", "feature_dim", "class_count", "center_scale")),
 }
 
 
@@ -359,8 +353,7 @@ KEY_SPECS = _spec_list(
             check=lambda v: v >= 0),
     KeySpec("workers", "int", None, f"workers >= 1; absent: ${WORKERS_ENV}, then usable CPU count",
             check=lambda v: v >= 1),
-    KeySpec("model", "choice", "quadratic", "one of quadratic|logistic|mlp",
-            choices=("quadratic", "logistic", "mlp")),
+    KeySpec("model", "choice", "quadratic", "one of " + "|".join(MODELS), choices=tuple(MODELS)),
     KeySpec("dim", "int", 2, "dim >= 1", check=lambda v: v >= 1),
     KeySpec("curvature_scale", "float", 1.0, "curvature_scale > 0", check=lambda v: v > 0),
     KeySpec("noise_scale", "float", 1.0, "noise_scale >= 0", check=lambda v: v >= 0),
@@ -441,42 +434,31 @@ def _format_value(value) -> str:
     return str(value)
 
 
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# Each value kind's parser and, for its error message, what it expects.
+_PARSERS = {
+    "int": (lambda raw: int(raw, 10), "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "true/false"),
+    "float_list": (lambda raw: tuple(float(p) for p in raw.split(",") if p.strip()),
+                   "comma-separated numbers"),
+    "int_list": (lambda raw: tuple(int(p, 10) for p in raw.split(",") if p.strip()),
+                 "comma-separated integers"),
+}
+
+
 def _parse_value(spec: KeySpec, raw: str):
     raw = raw.strip()
-    if spec.kind == "int":
+    value = raw
+    if spec.kind in _PARSERS:
+        parse, expected = _PARSERS[spec.kind]
         try:
-            value = int(raw, 10)
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects an integer, got {raw!r}") from None
-    elif spec.kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects a number, got {raw!r}") from None
-    elif spec.kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            value = True
-        elif low in ("false", "0", "no", "off"):
-            value = False
-        else:
-            raise ConfigError(f"{spec.name} expects true/false, got {raw!r}")
-    elif spec.kind == "float_list":
-        try:
-            value = tuple(float(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects comma-separated numbers, got {raw!r}") from None
-    elif spec.kind == "int_list":
-        try:
-            value = tuple(int(p, 10) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"{spec.name} expects comma-separated integers, got {raw!r}") from None
-    elif spec.kind == "choice":
-        if raw not in spec.choices:
-            raise ConfigError(f"{spec.name} = {raw!r} violates {spec.constraint}")
-        value = raw
-    else:
-        value = raw
+            value = parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{spec.name} expects {expected}, got {raw!r}") from None
+    elif spec.kind == "choice" and raw not in spec.choices:
+        raise ConfigError(f"{spec.name} = {raw!r} violates {spec.constraint}")
     if spec.check is not None and not spec.check(value):
         raise ConfigError(f"{spec.name} = {raw} violates {spec.constraint}")
     return value
@@ -527,8 +509,21 @@ def _refuse_unread(reader: str, raw_values: dict, keys) -> None:
         raise ConfigError(f"{reader} does not read key(s): {', '.join(ignored)}")
 
 
+def _unused_source_keys(reader: str, raw_values: dict) -> set:
+    """The keys of the matrix sources a run does not use; refuses a second source."""
+    unused = set()
+    for matrix, sources in _MATRIX_SOURCES.items():
+        given = [source for source in sources if any(key in raw_values for key in source)]
+        if len(given) > 1:
+            named = [key for source in given for key in source if key in raw_values]
+            raise ConfigError(f"{reader} sets {matrix} from more than one source: {', '.join(named)}")
+        if given:
+            unused.update(key for source in sources if source not in given for key in source)
+    return unused
+
+
 def parse_config(argv) -> RunConfig:
-    """Merge the command's defaults, the config file, and command-line overrides."""
+    """Merge defaults, config file and flags; refuse a run that breaks a MODELS/COMMANDS key rule."""
     argv = list(argv)
     positional_command = None
     if argv and not argv[0].startswith("-"):
@@ -566,16 +561,29 @@ def parse_config(argv) -> RunConfig:
     if positional_command is None and "command" not in raw_values:
         raise ConfigError("no command given (positional argument or 'command = ...' key)")
     command = positional_command or _parse_value(KEY_SPECS["command"], raw_values["command"])
-    keys = COMMANDS[command][1]
-    _refuse_unread(command, raw_values, keys)
-    if "model" in keys:
+    _, keys, models, required = COMMANDS[command]
+    reader = command
+    _refuse_unread(reader, raw_values, keys)
+    if models:
         model = _parse_value(KEY_SPECS["model"], raw_values.get("model", KEY_SPECS["model"].default))
-        keys = tuple(key for key in keys if key not in _PER_MODEL_KEYS or key in _MODEL_READS[model])
-        _refuse_unread(f"{command} with model={model}", raw_values, keys)
-    values = {name: KEY_SPECS[name].default for name in keys}
+        _, reads, model_required = MODELS[model]
+        keys = tuple(key for key in keys if key not in _PER_MODEL_KEYS or key in reads)
+        reader = f"{command} with model={model}"
+        _refuse_unread(reader, raw_values, keys)
+        if model not in models:
+            raise ConfigError(f"{command} cannot build model={model}; it builds {'|'.join(models)}")
+        required += model_required
+    unused = _unused_source_keys(reader, raw_values)
+    values = {name: None if name in unused else KEY_SPECS[name].default for name in keys}
     for key, raw in raw_values.items():
         values[key] = _parse_value(KEY_SPECS[key], raw)
     values["command"] = command
+    missing = [group for group in required if all(values[key] in (None, ()) for key in group.split("|"))]
+    if missing:
+        raise ConfigError(f"{reader} requires key(s): {', '.join(missing).replace('|', ' or ')}")
+    for first, second in _PAIRED_LISTS:
+        if first in keys and len(values[first]) != len(values[second]):
+            raise ConfigError(f"{first} and {second} must be lists of equal length")
 
     if "workers" in keys and values["workers"] is None:
         env = os.environ.get(WORKERS_ENV)

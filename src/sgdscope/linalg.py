@@ -86,16 +86,8 @@ class SymMatrix:
         return self.entries.shape[0]
 
     @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
     def diagonal(cls, values) -> "SymMatrix":
         return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def zero(cls, dim: int) -> "SymMatrix":
-        return cls(np.zeros((dim, dim)))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ def test_deleted_internals_stay_gone():
     assert not hasattr(engine, "_Records") and not hasattr(engine, "_record_state")
     assert not hasattr(LossModel, "synthesizes_noise")
     assert not hasattr(SymMatrix, "from_array")
+    assert not hasattr(SymMatrix, "identity") and not hasattr(SymMatrix, "zero")
     assert not hasattr(EigenDecomposition, "reconstruct")
     assert list(inspect.signature(RunConfig).parameters) == ["values"]
     assert not hasattr(estimators, "_gradient_samples") and not hasattr(experiments, "_traces_at")

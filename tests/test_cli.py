@@ -20,6 +20,7 @@ from sgdscope.problems import generate_blobs, make_mlp, write_dataset_csv
 
 INT64_MAX = np.iinfo(np.int64).max
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+GRID = ["--lr_list", "0.1", "--bs_list", "1"]
 
 
 def write_config(path, text):
@@ -130,18 +131,18 @@ class TestParsing:
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGDSCOPE_WORKERS", "3")
-        cfg = parse_config(["scan"])
+        cfg = parse_config(["scan", *GRID])
         assert cfg.workers == 3
-        cfg = parse_config(["scan", "--workers", "2"])
+        cfg = parse_config(["scan", *GRID, "--workers", "2"])
         assert cfg.workers == 2
         monkeypatch.setenv("SGDSCOPE_WORKERS", "zero")
         with pytest.raises(ConfigError, match="workers"):
-            parse_config(["scan"])
+            parse_config(["scan", *GRID])
 
     def test_default_workers_count_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("SGDSCOPE_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert parse_config(["scan"]).workers == 1
+        assert parse_config(["scan", *GRID]).workers == 1
 
     @pytest.mark.parametrize("command, model, key, value", [
         *(pytest.param(command, None, key, value, id=f"{command}-{key}-{value}") for command, key, value in [
@@ -185,6 +186,115 @@ class TestParsing:
         b = parse_config(["simulate"]).master_seed
         assert a >= 0 and b >= 0
         assert a != b
+
+
+def assert_refused(tmp_path, capsys, args, message):
+    """``args`` exit 2 with the one stderr line ``message`` and write nothing."""
+    assert main(args + ["--out_dir", str(tmp_path / "run"), "--master_seed", "0"]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+SOURCE_VALUES = {"hessian_file": "h.csv", "hessian_diag": "1,2", "dim": "2", "curvature_scale": "2",
+                 "noise_file": "c.csv", "noise_diag": "0.1,0.1", "noise_scale": "0.5"}
+
+
+class TestKeyRules:
+    @pytest.mark.parametrize("command, matrix, first, second", [
+        *(("simulate", "H", a, b) for a, b in [
+            ("hessian_file", "hessian_diag"), ("hessian_file", "dim"), ("hessian_file", "curvature_scale"),
+            ("hessian_diag", "dim"), ("hessian_diag", "curvature_scale")]),
+        ("saddle", "H", "hessian_file", "hessian_diag"),
+        *((command, "C", a, b) for command in ("simulate", "saddle") for a, b in [
+            ("noise_file", "noise_diag"), ("noise_file", "noise_scale"), ("noise_diag", "noise_scale")]),
+    ])
+    def test_a_second_source_for_one_matrix_is_refused(self, tmp_path, capsys, command, matrix,
+                                                       first, second):
+        reader = "simulate with model=quadratic" if command == "simulate" else command
+        given = ["--hessian_diag", "1,-1"] if command == "saddle" and matrix == "C" else []
+        # Either order on the command line names the keys in source order.
+        for a, b in ((first, second), (second, first)):
+            assert_refused(tmp_path, capsys,
+                           [command, *given, f"--{a}", SOURCE_VALUES[a], f"--{b}", SOURCE_VALUES[b]],
+                           f"{reader} sets {matrix} from more than one source: {first}, {second}")
+
+    def test_three_sources_are_all_named(self, tmp_path, capsys):
+        assert_refused(tmp_path, capsys,
+                       ["estimate", "--hessian_file", "h.csv", "--hessian_diag", "1", "--dim", "1"],
+                       "estimate with model=quadratic sets H from more than one source: "
+                       "hessian_file, hessian_diag, dim")
+
+    def test_keys_of_one_source_are_not_two_sources(self):
+        cfg = parse_config(["simulate", "--dim", "3", "--curvature_scale", "2", "--noise_diag", "1,1,1"])
+        assert (cfg.dim, cfg.curvature_scale, cfg.noise_scale) == (3, 2.0, None)
+
+    @pytest.mark.parametrize("model", ["logistic", "mlp"])
+    def test_clt_builds_only_the_quadratic(self, tmp_path, capsys, model):
+        assert_refused(tmp_path, capsys, ["clt", "--model", model, "--delta_list", "0.1"],
+                       f"clt cannot build model={model}; it builds quadratic")
+
+    def test_clt_does_not_read_a_dataset(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out_dir", str(data), "--master_seed", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["clt", "--model", "logistic", "--dataset_file", str(data / "dataset.csv"),
+                     "--delta_list", "0.1", "--out_dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config: clt does not read key(s): dataset_file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [pytest.param(*case, id="-".join(
+        arg.lstrip("-") or "empty" for arg in case[0])) for case in [
+        (["scan"], "scan with model=quadratic requires key(s): lr_list, bs_list"),
+        (["scan", "--lr_list", "0.1"], "scan with model=quadratic requires key(s): bs_list"),
+        (["scan", "--lr_list", "", "--bs_list", ""],
+         "scan with model=quadratic requires key(s): lr_list, bs_list"),
+        (["scaling"], "scaling with model=quadratic requires key(s): base_lr, base_bs"),
+        (["scaling", "--base_bs", "2"], "scaling with model=quadratic requires key(s): base_lr"),
+        (["clt"], "clt with model=quadratic requires key(s): delta_list"),
+        (["saddle"], "saddle requires key(s): hessian_file or hessian_diag"),
+        (["lyapunov"], "lyapunov requires key(s): hessian_file, noise_file"),
+        (["lyapunov", "--hessian_file", "h.csv"], "lyapunov requires key(s): noise_file"),
+        *(([command, "--model", model, *extra], f"{command} with model={model} requires key(s): "
+           + ", ".join(required + ["dataset_file"]))
+          for command, extra, required in [
+              ("simulate", [], []), ("flow", [], []), ("estimate", [], []),
+              ("scan", GRID, []), ("scaling", [], ["base_lr", "base_bs"])]
+          for model in ("logistic", "mlp")),
+    ]])
+    def test_a_missing_required_key_is_refused(self, tmp_path, capsys, args, message):
+        assert_refused(tmp_path, capsys, args, message)
+
+    @pytest.mark.parametrize("args, first, second", [
+        (["scan", "--lr_list", "0.1,0.2", "--bs_list", "1"], "lr_list", "bs_list"),
+        (["scan", "--lr_list", "0.1", "--bs_list", "1,2"], "lr_list", "bs_list"),
+        (["scaling", "--base_lr", "0.1", "--base_bs", "2", "--off_lr_list", "0.1"],
+         "off_lr_list", "off_bs_list"),
+        (["scaling", "--base_lr", "0.1", "--base_bs", "2", "--off_lr_list", "0.1",
+          "--off_bs_list", "2,4"], "off_lr_list", "off_bs_list"),
+    ], ids=["scan-long-lr", "scan-long-bs", "scaling-no-off-bs", "scaling-long-off-bs"])
+    def test_paired_lists_of_unequal_length_are_refused(self, tmp_path, capsys, args, first, second):
+        assert_refused(tmp_path, capsys, args, f"{first} and {second} must be lists of equal length")
+
+    def test_the_echo_names_only_the_sources_a_run_uses(self, tmp_path, capsys):
+        first, again = tmp_path / "first", tmp_path / "again"
+        overrides = ["--steps", "2000", "--workers", "1"]
+        assert main(["--config", os.path.join(CONFIG_DIR, "scan.cfg"), *overrides,
+                     "--out_dir", str(first)]) == 0
+        echoed = dict(line.split(" = ", 1) for line in (first / "config.resolved").read_text().splitlines())
+        assert {"hessian_diag", "noise_diag"} <= set(echoed)
+        assert not {"dim", "curvature_scale", "noise_scale"} & set(echoed)
+        assert main(["--config", str(first / "config.resolved"), "--out_dir", str(again)]) == 0
+        capsys.readouterr()
+        for name in ("config.resolved", "scan.csv", "scan.json"):
+            expected = (first / name).read_bytes().replace(str(first).encode(), str(again).encode())
+            assert (again / name).read_bytes() == expected
+
+    def test_clt_checks_the_length_of_theta0(self, tmp_path, capsys):
+        code = main(["clt", "--delta_list", "0.1", "--theta0", "1,2,3", "--out_dir", str(tmp_path),
+                     "--master_seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: clt: theta0 has 3 entries; the model needs 2\n"
 
 
 class TestCommands:
@@ -300,8 +410,9 @@ class TestCommands:
 
     def test_scan_requires_grid(self, tmp_path, capsys):
         code = main(["scan", "--out_dir", str(tmp_path / "x"), "--master_seed", "0"])
-        assert code == 1
+        assert code == 2
         assert "lr_list" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_scaling_smoke(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -484,8 +595,9 @@ class TestCommands:
     def test_dataset_required_for_logistic(self, tmp_path, capsys):
         code = main(["simulate", "--out_dir", str(tmp_path / "x"), "--model", "logistic",
                      "--master_seed", "0"])
-        assert code == 1
+        assert code == 2
         assert "dataset_file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_config_relative_input_paths(self, tmp_path, capsys, monkeypatch):
         nested = tmp_path / "configs"

@@ -65,10 +65,10 @@ class TestQuadratic:
     def test_rejects_indefinite_curvature(self):
         h = SymMatrix.diagonal([1.0, -1.0])
         with pytest.raises(ModelError, match="positive definite"):
-            make_quadratic(h, np.zeros(2), SymMatrix.identity(2))
+            make_quadratic(h, np.zeros(2), SymMatrix(np.eye(2)))
 
     def test_rejects_indefinite_noise(self):
-        h = SymMatrix.identity(2)
+        h = SymMatrix(np.eye(2))
         with pytest.raises(ModelError, match="PSD"):
             make_quadratic(h, np.zeros(2), SymMatrix.diagonal([1.0, -0.5]))
 
@@ -251,7 +251,7 @@ class TestGradientCovariance:
     def test_quadratic_returns_its_exact_covariance(self):
         rng = np.random.default_rng(5)
         c = random_spd(rng, 3)
-        model = make_quadratic(SymMatrix.identity(3), np.zeros(3), c)
+        model = make_quadratic(SymMatrix(np.eye(3)), np.zeros(3), c)
         cov = gradient_covariance(model, np.ones(3))
         npt.assert_array_equal(cov.entries, c)
 
