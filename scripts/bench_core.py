@@ -68,7 +68,7 @@ def _calls(m: dict) -> dict:
             "stride at 2*10^6 steps)",
             diag, np.zeros(5), [0.01] * 5, [10] * 5, list(range(5)), 200_000, {"record_stride": 200}),
         "one-row sgd_run": (
-            "p = 5 diagonal, 1 row (lr 0.01, m = 10) x 2*10^4 steps, stride 1 (row-order products)",
+            "p = 5 diagonal, 1 row (lr 0.01, m = 10) x 2*10^4 steps, stride 1 (plane-order noise products)",
             diag, np.zeros(5), [0.01], [10], [7], 20_000, {"record_stride": 1}),
         "clt-ensemble call": (
             "p = 2 full, 2,000 rows (lr 10^-4, m = 10) x 10^4 steps, final state only",

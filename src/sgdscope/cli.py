@@ -245,7 +245,7 @@ def _cmd_saddle(cfg: RunConfig):
 def _cmd_estimate(cfg: RunConfig):
     model = _build_model(cfg)
     report = model_report(model, _start_point(cfg, model), cfg.learning_rate, cfg.batch_size)
-    print(format_prediction_report(report))
+    _say(format_prediction_report(report))
     yield "estimate.json", _write_json, report.as_dict()
 
 
@@ -295,6 +295,9 @@ _MATRIX_SOURCES = {
     "C": (("noise_file",), ("noise_diag",), ("noise_scale",)),
 }
 _PAIRED_LISTS = (("lr_list", "bs_list"), ("off_lr_list", "off_bs_list"))
+# The keys that give a quadratic's dimension without a file: their values
+# (a list's length) must agree.
+_DIMENSION_KEYS = ("dim", "hessian_diag", "noise_diag", "theta0")
 _RUN_KEYS = ("command", "out_dir", "master_seed")
 
 
@@ -584,6 +587,11 @@ def parse_config(argv) -> RunConfig:
     for first, second in _PAIRED_LISTS:
         if first in keys and len(values[first]) != len(values[second]):
             raise ConfigError(f"{first} and {second} must be lists of equal length")
+    sizes = [(key, values[key] if key == "dim" else len(values[key]))
+             for key in _DIMENSION_KEYS if values.get(key) is not None]
+    if len({size for _, size in sizes}) > 1:
+        raise ConfigError(f"{reader} sets dimensions that disagree: "
+                          + ", ".join(f"{key} {size}" for key, size in sizes))
 
     if "workers" in keys and values["workers"] is None:
         env = os.environ.get(WORKERS_ENV)
@@ -598,20 +606,31 @@ def parse_config(argv) -> RunConfig:
 
 def run(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    print(f"master_seed = {cfg.master_seed}")
+    _say(f"master_seed = {cfg.master_seed}")
     with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg.resolved_lines())
     for name, writer, *value in COMMANDS[cfg.command][0](cfg):
         path = os.path.join(cfg.out_dir, name)
         writer(path, *value)
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return 0
+
+
+def _say(text: str) -> None:
+    """Print ``text`` to stdout.  Once a reader has closed it early
+    (``sgdscope --help | head -1``), the rest goes to the null device."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if any(token in ("-h", "--help") for token in argv):
-        print(render_help(argv[0] if argv[0] in COMMANDS else None))
+        _say(render_help(argv[0] if argv[0] in COMMANDS else None))
         return 0
     try:
         cfg = parse_config(argv)

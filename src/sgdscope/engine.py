@@ -262,44 +262,67 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rowwise_matmul(x: np.ndarray, a: np.ndarray, out: np.ndarray | None = None,
+                    overwrite_x: bool = False) -> np.ndarray:
     """``x @ a`` accumulated in index order by elementwise operations, into
     ``out`` if given (it must not overlap ``x``).
 
     BLAS kernels change with the number of rows, and with them the last bits
     of every row; here each vector (last axis) of the result depends on its
-    own vector of ``x`` alone.  Both loop orders below make the same
-    operations in the same order; they differ only in which axis numpy's
-    inner loop runs along: ``q`` entries per vector in the row order, all
-    vectors in the column order.  The column order makes ``q`` times as many
-    numpy calls, so it pays only for many short vectors: beyond ``128 q``
-    vectors (the two orders cost the same at about 100 q to 200 q).
+    own vector of ``x`` alone.  Three loop orders make the same operations
+    in the same order, bar skipped zero terms, and differ in the axis
+    numpy's inner loop runs along:
 
-    The column order skips every term but the first whose entry of ``a`` is
-    exactly zero: ``x_k * 0`` cannot change a nonzero sum, so at most the
-    sign of an exact-zero result differs, which adding any centre with no
-    ``-0.0`` entry clears.  A diagonal or permutation map then costs one
-    multiply per column.  The row order keeps every term: there a zero would
-    have to be zero in a whole row of ``a``, and scanning a full map for
-    such rows costs more than it saves.
+    * below ``q`` vectors, the row order: along the ``q`` entries of each
+      vector (a snapshot batch, 26 vectors by a dense 64 x 64 map, takes
+      290 µs in the row order and 320 µs in the plane order on a 2-vCPU
+      Xeon);
+    * up to ``128 q`` vectors, the plane order: ``x`` is copied to ``p``
+      planes, plane ``k`` holding coordinate ``k`` of every vector, row
+      ``k`` of ``a`` times plane ``k`` is added to all ``q`` output planes
+      in one call, and the output planes are copied back.  With
+      ``overwrite_x`` and a square ``a`` the planes take the memory of ``x``
+      and ``out``;
+    * beyond that, the column order: ``p q`` calls, each along all vectors.
+
+    The plane order skips the leading exact zeros of every nonzero row of
+    ``a`` but row 0, the column order every term but the first whose entry
+    of ``a`` is exactly zero: ``x_k * 0`` cannot change a nonzero sum, so at most
+    the sign of an exact-zero result differs, which adding any centre with
+    no ``-0.0`` entry clears.  An upper-triangular map then costs p(p+1)/2
+    terms per vector, and a diagonal or permutation map one multiply per
+    column in the column order.  The row order keeps every term.
     """
     p, q = a.shape
     if out is None:
         out = np.empty(x.shape[:-1] + (q,))
-    if x.size <= 128 * p * q:
+    vectors = x.size // p
+    if vectors < q:
         np.multiply(x[..., :1], a[0], out=out)
         term = np.empty_like(out)
         for k in range(1, p):
             out += np.multiply(x[..., k : k + 1], a[k], out=term)
         return out
-    column = np.empty(x.shape[:-1])
-    term = np.empty_like(column)
-    for j, coefs in enumerate(a.T.tolist()):
-        np.multiply(x[..., 0], coefs[0], out=column)
-        for k in range(1, p):
-            if coefs[k]:
-                column += np.multiply(x[..., k], coefs[k], out=term)
-        out[..., j] = column
+    if vectors > 128 * q:
+        column = np.empty(x.shape[:-1])
+        term = np.empty_like(column)
+        for j, coefs in enumerate(a.T.tolist()):
+            np.multiply(x[..., 0], coefs[0], out=column)
+            for k in range(1, p):
+                if coefs[k]:
+                    column += np.multiply(x[..., k], coefs[k], out=term)
+            out[..., j] = column
+        return out
+    if overwrite_x and p == q and x.flags.c_contiguous and out.flags.c_contiguous:
+        planes, acc = out.reshape(p, vectors), x.reshape(q, vectors)
+    else:
+        planes, acc = np.empty((p, vectors)), np.empty((q, vectors))
+    np.copyto(planes, x.reshape(vectors, p).T)
+    np.multiply(a[0, :, None], planes[0], out=acc)
+    # Each row's first nonzero entry; a zero row keeps its terms.
+    for k, f in enumerate((a[1:] != 0).argmax(axis=1).tolist(), 1):
+        acc[f:] += a[k, f:, None] * planes[k]
+    np.copyto(out, acc.T.reshape(out.shape))
     return out
 
 
@@ -350,7 +373,7 @@ def _advance_rows(
     out = _Rows(lrs, steps, record_stride, p, snapshots, accuracy)
     if isinstance(model, QuadraticModel):
         lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
-        decay, noise_map = 1.0 - lrs[:, None] * lam, model.noise_sqrt.T @ vec
+        decay, noise_map = 1.0 - lrs[:, None] * lam, model.eigen_noise_factor
         noise_scales = lrs / np.sqrt(ms)
         def advance(part: _Rows, which: slice) -> None:
             _lockstep(part, theta0, seeds[which], steps, lam, vec, model.minimizer, decay[which],
@@ -434,10 +457,13 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
     in R^p from the row's generator.  Records carry 0.5 sum lam z^2 and
     sum (lam z)^2; snapshots are theta = z basis^T + center.  A
     synthesized-noise quadratic passes H's eigenpairs, its minimizer, decay
-    1 - lr lam and noise map R^T V with R = ``model.noise_sqrt``, one
-    N(0, C/m) draw per step for the mean of m per-example noise draws (see
-    ``_advance_rows``); ``ou_eigenbasis_run`` passes the identity basis, a
-    zero centre, decay exp(-lam dt) and noise map -diag(std).
+    1 - lr lam and noise map ``model.eigen_noise_factor``, the upper
+    triangular T with T^T T = V^T C V, so that xi T is one N(0, V^T C V)
+    draw and the step noise that of the mean of m per-example noise draws
+    (see ``_advance_rows``); ``ou_eigenbasis_run`` passes the identity
+    basis, a zero centre, decay exp(-lam dt) and noise map -diag(std).
+    The map is applied by ``_rowwise_matmul`` a tile at a time, in the
+    ``drawn`` and ``mixed`` scratch.
 
     Each block of steps runs in three stages: the recurrence overwrites the
     block's transformed noise with the states; the guard takes each row's
@@ -492,7 +518,8 @@ def _lockstep(out: _Rows, theta0: np.ndarray, seeds, steps: int, lam: np.ndarray
                     gens[s + i].standard_normal((b, p), out=tile[i])
                 else:  # a stopped row; the scratch still holds earlier draws
                     tile[i] = 0.0
-            noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p))
+            noise = _rowwise_matmul(tile, noise_map, out=mixed[: n * b * p].reshape(n, b, p),
+                                    overwrite_x=True)
             noise *= noise_scale[s : s + n]
             states.view(item)[:, s : s + n] = noise.view(item).swapaxes(0, 1)
         # A diverging row overflows before the guard sees it.
@@ -618,10 +645,10 @@ def gaussian_sgd_run(
     """SGD with the minibatch noise replaced by its Gaussian surrogate.
 
     Updates theta <- theta - lr * grad + (lr / sqrt(m)) * noise, with noise
-    of the quadratic's exact covariance C, drawn through its root
-    ``noise_sqrt``.  That surrogate is exactly the law ``sgd_run`` draws,
-    so this is ``sgd_run`` (same seed, same trajectory); only
-    synthesized-noise quadratics are accepted.
+    of the quadratic's exact covariance C, drawn in H's eigenbasis through
+    its triangular factor ``eigen_noise_factor``.  That surrogate is exactly
+    the law ``sgd_run`` draws, so this is ``sgd_run`` (same seed, same
+    trajectory); only synthesized-noise quadratics are accepted.
     """
     if not isinstance(model, QuadraticModel):
         raise EngineError("gaussian_sgd_run needs a synthesized-noise quadratic model")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +108,10 @@ class QuadraticModel(LossModel):
     """Quadratic bowl 0.5 (theta - t*)^T H (theta - t*) with Gaussian
     per-example gradient noise of covariance C.
 
-    The engine synthesizes per-example gradients as ``full_grad + R @ eps``
-    with ``R = noise_sqrt`` (``R R^T = C``) and ``eps`` standard normal, so a
-    size-m minibatch mean has gradient covariance exactly ``C / m``.
+    Per-example gradients are ``full_grad + R @ eps`` with ``R = noise_sqrt``
+    (``R R^T = C``) and ``eps`` standard normal, so a size-m minibatch mean
+    has gradient covariance exactly ``C / m``.  The engine steps in H's
+    eigenbasis V and draws that noise there through ``eigen_noise_factor``.
     """
 
     def __init__(
@@ -163,6 +165,20 @@ class QuadraticModel(LossModel):
     def hessian_eig(self) -> EigenDecomposition:
         """Eigendecomposition of the curvature matrix, eigenvalues ascending."""
         return self._eig
+
+    @cached_property
+    def eigen_noise_factor(self) -> np.ndarray:
+        """Upper-triangular T with T^T T = V^T C V, V = ``hessian_eig.eigenvectors``.
+
+        ``eps @ T`` with ``eps`` standard normal is then N(0, V^T C V), the
+        law of the noise ``noise_sqrt @ eps`` in the eigenbasis, at
+        p(p+1)/2 terms instead of p^2.  It is the triangular factor of the
+        QR decomposition of ``noise_sqrt.T @ V``, computed on first use; a
+        map that is already upper triangular comes back unchanged, as for a
+        diagonal H with an ascending diagonal and a diagonal C with an
+        ascending or constant diagonal.
+        """
+        return np.linalg.qr(self.noise_sqrt.T @ self._eig.eigenvectors, mode="r")
 
     def loss(self, theta: ParamVector) -> float:
         d = theta - self._minimizer

@@ -291,10 +291,34 @@ class TestKeyRules:
             assert (again / name).read_bytes() == expected
 
     def test_clt_checks_the_length_of_theta0(self, tmp_path, capsys):
+        # The default dim is 2, so the keys alone disagree; with H from a
+        # file only the handler knows the dimension.
+        assert_refused(tmp_path, capsys, ["clt", "--delta_list", "0.1", "--theta0", "1,2,3"],
+                       "clt with model=quadratic sets dimensions that disagree: dim 2, theta0 3")
+        write_matrix_csv(tmp_path / "h.csv", SymMatrix(np.diag([1.0, 2.0])))
         code = main(["clt", "--delta_list", "0.1", "--theta0", "1,2,3", "--out_dir", str(tmp_path),
-                     "--master_seed", "0"])
+                     "--hessian_file", str(tmp_path / "h.csv"), "--master_seed", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: clt: theta0 has 3 entries; the model needs 2\n"
+
+    @pytest.mark.parametrize("args, sizes", [
+        (["simulate", "--dim", "3", "--noise_diag", "1,1"], "dim 3, noise_diag 2"),
+        (["simulate", "--noise_diag", "1,1,1"], "dim 2, noise_diag 3"),
+        (["simulate", "--hessian_diag", "1,2", "--theta0", "0,0,0"], "hessian_diag 2, theta0 3"),
+        (["flow", "--dim", "4", "--noise_diag", "1,1,1,1", "--theta0", "1"],
+         "dim 4, noise_diag 4, theta0 1"),
+        (["estimate", "--hessian_file", "h.csv", "--noise_diag", "1,1", "--theta0", "1,2,3"],
+         "noise_diag 2, theta0 3"),
+        (["saddle", "--hessian_diag", "1,-1", "--noise_diag", "1"], "hessian_diag 2, noise_diag 1"),
+    ])
+    def test_dimensions_the_keys_give_must_agree(self, tmp_path, capsys, args, sizes):
+        reader = args[0] if args[0] == "saddle" else f"{args[0]} with model=quadratic"
+        assert_refused(tmp_path, capsys, args, f"{reader} sets dimensions that disagree: {sizes}")
+
+    def test_theta0_of_a_finite_data_model_is_left_to_the_handler(self):
+        cfg = parse_config(["simulate", "--model", "logistic", "--dataset_file", "d.csv",
+                            "--theta0", "1,2,3", "--master_seed", "0"])
+        assert cfg.theta0 == (1.0, 2.0, 3.0)
 
 
 class TestCommands:
@@ -510,9 +534,21 @@ class TestCommands:
         assert (out / "scan.json").read_text() == expected + "\n"
 
     def test_saddle_and_simulate_report_the_same_dimension_mismatch(self, tmp_path, capsys):
+        # From keys alone parse_config refuses the run before writing anything;
+        # a matrix from a file is checked by the handler.
         for command in ("simulate", "saddle"):
+            reader = command if command == "saddle" else f"{command} with model=quadratic"
             code = main([command, "--out_dir", str(tmp_path / command), "--hessian_diag", "1,-1",
                          "--noise_diag", "1,1,1", "--steps", "10", "--master_seed", "0"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: config: {reader} sets dimensions that disagree: hessian_diag 2, noise_diag 3\n"
+            )
+            assert not (tmp_path / command).exists()
+        write_matrix_csv(tmp_path / "c.csv", SymMatrix(np.eye(3)))
+        for command in ("simulate", "saddle"):
+            code = main([command, "--out_dir", str(tmp_path / command), "--hessian_diag", "1,-1",
+                         "--noise_file", str(tmp_path / "c.csv"), "--steps", "10", "--master_seed", "0"])
             assert code == 1
             assert capsys.readouterr().err == (
                 f"error: {command}: noise dimension 3 does not match curvature dimension 2\n"
@@ -687,6 +723,24 @@ class TestCommands:
             "error: gen-data: center_scale = inf gives non-finite features\n"
         )
         assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"],
+                                      ["simulate", "--steps", "10", "--master_seed", "3"]])
+    def test_a_reader_closing_stdout_early_gets_no_traceback(self, tmp_path, args):
+        # The read end of stdout's pipe is closed before the process starts,
+        # so its first line already meets a broken pipe.  A run goes on and
+        # writes its files.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "sgdscope.cli", *args, "--out_dir", str(tmp_path / "run")],
+                stdout=stdout, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "run" / "simulate.json").exists() == ("--help" not in args)
 
     def test_gen_data_overflow_prints_only_the_error_line(self, tmp_path):
         # In a fresh process, so that a numpy warning would reach stderr.

@@ -533,7 +533,7 @@ def reference_row(model, theta0, lr, m, seed, steps, stride):
     lam, vec = model.hessian_eig.eigenvalues, model.hessian_eig.eigenvectors
     center = model.minimizer
     gen = np.random.default_rng(seed)
-    noise = in_order_matmul(gen.standard_normal((steps, lam.size)), model.noise_sqrt.T @ vec)
+    noise = in_order_matmul(gen.standard_normal((steps, lam.size)), model.eigen_noise_factor)
     noise *= lr / np.sqrt(m)
     decay = 1.0 - lr * lam
     z = in_order_matmul(theta0 - center, vec)
@@ -551,11 +551,26 @@ def reference_row(model, theta0, lr, m, seed, steps, stride):
 
 
 class TestLockstepCore:
-    @pytest.mark.parametrize("shape", [(1, 512, 64), (64, 512, 2), (4, 33, 9)])
-    def test_rowwise_product_on_noise_tiles(self, shape):
+    @pytest.mark.parametrize("shape, kind", [
+        pytest.param((1, 512, 64), "dense", id="shape0"),
+        pytest.param((64, 512, 2), "dense", id="shape1"),
+        pytest.param((4, 33, 9), "dense", id="shape2"),
+        # The noise factor of a dense quadratic, in the plane order.
+        pytest.param((1, 512, 64), "upper triangular", id="upper-triangular"),
+        pytest.param((4, 33, 9), "zero row", id="zero-row"),
+        pytest.param((4, 33, 9), "permutation", id="permutation"),
+    ])
+    def test_rowwise_product_on_noise_tiles(self, shape, kind):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(shape)
-        a = rng.standard_normal((shape[-1], shape[-1]))
+        p = shape[-1]
+        a = rng.standard_normal((p, p))
+        if kind == "upper triangular":
+            a = np.linalg.qr(a, mode="r")
+        elif kind == "zero row":
+            a[3] = 0.0
+        elif kind == "permutation":
+            a = np.eye(p)[rng.permutation(p)]
         full = _rowwise_matmul(x, a)
         np.testing.assert_array_equal(full, in_order_matmul(x, a))
         for i in range(shape[0]):
@@ -745,7 +760,7 @@ class TestLockstepCore:
             # Every row grows along the unstable mode; row 3 by a factor 2 per step.
             lrs = np.array([0.01, 0.02, 0.03, 1.0, 0.005, 0.025])
         vec = model.hessian_eig.eigenvectors
-        assert (vec == 0).any() and (model.noise_sqrt.T @ vec == 0).any()
+        assert (vec == 0).any() and (model.eigen_noise_factor == 0).any()
         theta0 = model.minimizer + 0.5
         ms, seeds, steps = [1, 4, 2, 1, 8, 3], [61, 62, 63, 64, 65, 66], 700
         refs = [reference_row(model, theta0, lrs[r], ms[r], seeds[r], steps, stride)
@@ -766,7 +781,7 @@ class TestLockstepCore:
                     np.testing.assert_array_equal(run.finals[r], final)
             self.assert_row_matches(run.failures[3].trajectory, refs[3][0])
 
-    @pytest.mark.parametrize("order", ["row", "column"])
+    @pytest.mark.parametrize("order", ["row", "plane", "column"])
     def test_rowwise_product_on_maps_with_exact_zeros(self, order):
         rng = np.random.default_rng(12)
         p = 5
@@ -783,9 +798,11 @@ class TestLockstepCore:
             "-0.0 entries": negative_zeros,
             "-0.0 off the diagonal": np.where(np.eye(p) == 1, dense, -0.0),
         }
-        shape = (4, 3, p) if order == "row" else (64, 512, p)
-        # The row order serves up to 128 vectors per entry of the map.
-        assert (np.prod(shape) <= 128 * p * p) == (order == "row")
+        shape = {"row": (1, 3, p), "plane": (4, 3, p), "column": (64, 512, p)}[order]
+        # The row order serves fewer vectors than the map has columns, the
+        # plane order up to 128 vectors per column.
+        vectors = np.prod(shape[:-1])
+        assert order == ("row" if vectors < p else "plane" if vectors <= 128 * p else "column")
         x = rng.standard_normal(shape)
         x[0, 0] = 0.0
         for name, a in maps.items():

@@ -8,6 +8,7 @@ from sgdscope.linalg import SymMatrix
 from sgdscope.problems import (
     LogisticModel,
     ModelError,
+    QuadraticModel,
     as_param_vector,
     generate_blobs,
     gradient_covariance,
@@ -78,6 +79,53 @@ class TestQuadratic:
         x = model.flow_solution(theta0, 2.0)
         expected = np.exp(-np.array([0.5, 1.0, 1.5, 2.0, 2.5]) * 2.0)
         npt.assert_allclose(x, expected, rtol=1e-12)
+
+
+def low_rank_psd(rng, dim, rank):
+    b = rng.standard_normal((dim, rank))
+    return b @ b.T
+
+
+class TestEigenNoiseFactor:
+    @pytest.mark.parametrize("dim, noise", [
+        (1, "spd"), (3, "spd"), (20, "spd"), (64, "spd"), (6, "rank 2"), (6, "zero"),
+    ])
+    def test_factor_is_triangular_with_the_eigenbasis_covariance(self, dim, noise):
+        rng = np.random.default_rng(dim)
+        c = {"spd": lambda: random_spd(rng, dim), "rank 2": lambda: low_rank_psd(rng, dim, 2),
+             "zero": lambda: np.zeros((dim, dim))}[noise]()
+        model = make_quadratic(random_spd(rng, dim), np.zeros(dim), c)
+        assert "eigen_noise_factor" not in vars(model)  # computed on first use
+        t = model.eigen_noise_factor
+        assert model.eigen_noise_factor is t
+        assert t.shape == (dim, dim)
+        assert (t[np.tril_indices(dim, -1)] == 0).all()
+        v = model.hessian_eig.eigenvectors
+        target = v.T @ c @ v
+        assert np.linalg.norm(t.T @ t - target) <= 1e-12 * max(np.linalg.norm(target), 1e-300)
+        if noise == "zero":
+            assert not t.any()
+
+    @pytest.mark.parametrize("dim, noise", [(1, "ascending"), (5, "ascending"), (5, "isotropic")])
+    def test_diagonal_h_and_c_keep_their_map_bit_for_bit(self, dim, noise):
+        # With an ascending diagonal in H, and an ascending or constant one
+        # in C, both eigenbases are the identity (eigenvalues come out
+        # ascending), so the map is diagonal already; the benchmark scan and
+        # the bundled diagonal configs are of this kind.
+        rng = np.random.default_rng(dim)
+        c = np.sort(rng.uniform(0.0, 0.4, dim)) if noise == "ascending" else np.full(dim, 0.2)
+        model = make_quadratic(SymMatrix.diagonal(np.sort(rng.uniform(0.5, 2.5, dim))), np.zeros(dim),
+                               SymMatrix.diagonal(c))
+        expected = model.noise_sqrt.T @ model.hessian_eig.eigenvectors
+        assert (expected == np.diag(np.diag(expected))).all()
+        assert model.eigen_noise_factor.tobytes() == expected.tobytes()
+
+    def test_a_permuted_map_becomes_a_signed_diagonal(self):
+        # The saddle diag(1, -1) has the swap as its eigenbasis.
+        model = QuadraticModel(SymMatrix.diagonal([1.0, -1.0]), np.zeros(2), SymMatrix(np.eye(2)),
+                               require_positive_definite=False)
+        assert (model.noise_sqrt.T @ model.hessian_eig.eigenvectors == [[0.0, 1.0], [1.0, 0.0]]).all()
+        assert (np.abs(model.eigen_noise_factor) == np.eye(2)).all()
 
 
 class TestLogistic:
