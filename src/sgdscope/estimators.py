@@ -8,7 +8,7 @@ loss and gradient norm at a given step size and batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,15 +64,7 @@ class PredictionReport:
     magnitude_difference: float
 
     def as_dict(self) -> dict:
-        return {
-            "tr_h": self.tr_h,
-            "tr_sigma2": self.tr_sigma2,
-            "tr_sigma2_h": self.tr_sigma2_h,
-            "pred_loss_j2018": self.pred_loss_j2018,
-            "pred_excess_loss_w2019": self.pred_excess_loss_w2019,
-            "pred_gradnorm_w2019": self.pred_gradnorm_w2019,
-            "magnitude_difference": self.magnitude_difference,
-        }
+        return asdict(self)
 
 
 def _check_rate_and_batch(learning_rate: float, batch_size: int) -> None:

@@ -15,7 +15,7 @@ earliest step over all runs is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -195,37 +195,24 @@ def scan_bs_lr(
     rows = []
     for gi, (lr, m) in enumerate(grid):
         chunk = stats[gi * replicas : (gi + 1) * replicas]
-        mean_loss = float(np.mean([s.mean_loss for s in chunk]))
-        mean_gn = float(np.mean([s.mean_grad_norm_sq for s in chunk]))
-        if converged:
-            preds = prediction_report(lr, m, tr_h, tr_sigma2, tr_mixed)
-            pred_vals = (
-                preds.pred_loss_j2018,
-                preds.pred_excess_loss_w2019,
-                preds.pred_gradnorm_w2019,
-                preds.magnitude_difference,
-            )
-        else:
-            pred_vals = (float("nan"),) * 4
-        rows.append(
-            ScanRow(
-                experiment_id=f"exp{gi + 1:02d}",
-                batch_size=m,
-                learning_rate=lr,
-                ratio=m / lr,
-                tr_h=tr_h,
-                tr_sigma2=tr_sigma2,
-                tr_sigma2_h=tr_mixed,
-                measured_excess_loss=mean_loss - base_loss,
-                measured_grad_norm_sq=mean_gn,
-                pred_j2018=pred_vals[0],
-                pred_w2019_loss=pred_vals[1],
-                pred_w2019_gradnorm=pred_vals[2],
-                magnitude_difference=pred_vals[3],
-                replica_count=replicas,
-                converged=converged,
-            )
-        )
+        preds = prediction_report(lr, m, tr_h, tr_sigma2, tr_mixed)  # NaN traces give NaN predictions
+        rows.append(ScanRow(
+            experiment_id=f"exp{gi + 1:02d}",
+            batch_size=m,
+            learning_rate=lr,
+            ratio=m / lr,
+            tr_h=tr_h,
+            tr_sigma2=tr_sigma2,
+            tr_sigma2_h=tr_mixed,
+            measured_excess_loss=float(np.mean([s.mean_loss for s in chunk])) - base_loss,
+            measured_grad_norm_sq=float(np.mean([s.mean_grad_norm_sq for s in chunk])),
+            pred_j2018=preds.pred_loss_j2018,
+            pred_w2019_loss=preds.pred_excess_loss_w2019,
+            pred_w2019_gradnorm=preds.pred_gradnorm_w2019,
+            magnitude_difference=preds.magnitude_difference,
+            replica_count=replicas,
+            converged=converged,
+        ))
     return rows
 
 
@@ -297,14 +284,15 @@ def _checked_pair(name: str, lr, m) -> tuple[float, int]:
 def _classify_off_ratio(base, off_ratio):
     """Rank off-ratio configs by distance from the base m/lr ratio; the
     closer half is `near_ratio`, the rest `far_ratio`.  Ties break on the
-    learning-rate change."""
-    base_lr, base_m = base
-    base_ratio = base_m / base_lr
+    learning-rate change.  A change by the factor q ranks by max(q, 1/q),
+    in exact rationals, so no quotient overflows or underflows."""
+    from fractions import Fraction  # imported here: it loads `decimal`, which no other run needs
+    base_lr, base_m = Fraction(base[0]), base[1]
     scored = []
     for i, (lr, m) in enumerate(off_ratio):
-        ratio_dist = abs(math.log((m / lr) / base_ratio))
-        lr_dist = abs(math.log(lr / base_lr))
-        scored.append((ratio_dist, lr_dist, i))
+        ratio_change = Fraction(m, base_m) * base_lr / Fraction(lr)
+        lr_change = Fraction(lr) / base_lr
+        scored.append((max(ratio_change, 1 / ratio_change), max(lr_change, 1 / lr_change), i))
     scored.sort()
     classes = [""] * len(off_ratio)
     half = len(off_ratio) / 2.0
@@ -344,8 +332,10 @@ def linear_scaling_experiment(
     _check_burn_in(burn_in_fraction)
     configs = [("base", "base", base_lr, base_m)]
     for c in factors:
-        if not (math.isfinite(c) and round(base_m * c) >= 1):
-            raise ExperimentError(f"factor {c} must be finite and keep the batch size at least 1")
+        if not (math.isfinite(base_m * c) and round(base_m * c) >= 1):
+            raise ExperimentError(
+                f"factor {c} must be finite and keep the batch size finite and at least 1"
+            )
         lr, m = base_lr * c, int(round(base_m * c))
         configs.append((f"lr{lr:g}_bs{m}", "same_ratio", lr, m))
     for (lr, m), cls in zip(off_ratio, _classify_off_ratio((base_lr, base_m), off_ratio)):
@@ -365,31 +355,27 @@ def linear_scaling_experiment(
         smoothed_on_grid.append(np.interp(grid, traj.times, smooth))
 
     base_curve = smoothed_on_grid[0]
-    entries = []
-    base_entry = None
-    for (label, cls, lr, m), (traj, acc), curve in zip(configs, results, smoothed_on_grid):
-        metric = float(np.mean(np.abs(curve - base_curve)))
-        entry = CurveEntry(
+    base, *entries = [
+        CurveEntry(
             label=label,
             ratio_class=cls,
             learning_rate=lr,
             batch_size=m,
             trajectory=traj,
             smoothed=curve,
-            divergence_from_base=float("nan") if cls == "base" else metric,
+            divergence_from_base=(float("nan") if cls == "base"
+                                  else float(np.mean(np.abs(curve - base_curve)))),
             accuracy=acc,
         )
-        if cls == "base":
-            base_entry = entry
-        else:
-            entries.append(entry)
+        for (label, cls, lr, m), (traj, acc), curve in zip(configs, results, smoothed_on_grid)
+    ]
 
     class_divergence = {}
     for cls in ("same_ratio", "near_ratio", "far_ratio"):
         vals = [e.divergence_from_base for e in entries if e.ratio_class == cls]
         if vals:
             class_divergence[cls] = float(np.mean(vals))
-    return CurveSet(base=base_entry, entries=entries, grid=grid, class_divergence=class_divergence)
+    return CurveSet(base=base, entries=entries, grid=grid, class_divergence=class_divergence)
 
 
 def write_curves_csv(path, curves: CurveSet) -> None:
@@ -424,17 +410,10 @@ class CltReport:
     empirical_covs: list[np.ndarray]
 
     def as_dict(self) -> dict:
-        return {
-            "learning_rates": list(self.learning_rates),
-            "batch_size": self.batch_size,
-            "t_end": self.t_end,
-            "replicas": self.replicas,
-            "frobenius_errors": list(self.frobenius_errors),
-            "noise_allowance": self.noise_allowance,
-            "monotone_ok": self.monotone_ok,
-            "predicted_cov_smallest_lr": self.predicted_covs[-1].entries.tolist(),
-            "empirical_cov_smallest_lr": self.empirical_covs[-1].tolist(),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}  # asdict would copy every covariance
+        d["predicted_cov_smallest_lr"] = d.pop("predicted_covs")[-1].entries.tolist()
+        d["empirical_cov_smallest_lr"] = d.pop("empirical_covs")[-1].tolist()
+        return d
 
 
 def clt_experiment(
@@ -466,6 +445,15 @@ def clt_experiment(
         raise ExperimentError("need at least 100 replicas for a covariance estimate")
     if not (np.isfinite(t_end) and t_end > 0):
         raise ExperimentError("t_end must be positive and finite")
+    step_counts = []  # all checked before the first ensemble runs
+    for delta in deltas:
+        count = t_end / delta
+        if not (math.isfinite(delta) and math.isfinite(count) and round(count) <= engine._COUNT_LIMIT):
+            raise ExperimentError(
+                f"step size {delta} must be finite and reach t_end {t_end} in at most "
+                f"{engine._COUNT_LIMIT} steps"
+            )
+        step_counts.append(max(1, int(round(count))))
     start = model.minimizer.copy() if theta0 is None else np.asarray(theta0, float)
 
     # The deviation covariance solves dG/dt = -(H G + G H) + C from G(0) = 0:
@@ -479,8 +467,7 @@ def clt_experiment(
     errors = []
     predicted_covs = []
     empirical_covs = []
-    for i, delta in enumerate(deltas):
-        steps = max(1, int(round(t_end / delta)))
+    for i, (delta, steps) in enumerate(zip(deltas, step_counts)):
         horizon = steps * delta
         finals = sgd_replica_ensemble(
             model, start, delta, batch_size, steps, replicas,
@@ -539,19 +526,10 @@ class SaddleReport:
     replicas: int
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "escape_fraction": self.escape_fraction,
-            "median_slope": self.median_slope,
-            "expected_slope": self.expected_slope,
-            "expected_slope_small_lr": self.expected_slope_small_lr,
-            "replica_slopes": list(self.replica_slopes),
-            "lambda_neg": self.lambda_neg,
-            "lr": self.learning_rate,
-            "bs": self.batch_size,
-            "steps": self.steps,
-            "replicas": self.replicas,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["lr"] = d.pop("learning_rate")
+        d["bs"] = d.pop("batch_size")
+        return d
 
 
 def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replicas, seed):

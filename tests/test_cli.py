@@ -579,7 +579,12 @@ class TestCommands:
         (["simulate", "--steps", "100000000000000000000"], f"steps must not exceed {INT64_MAX}"),
         (["flow", "--t_end", "1e300", "--dt", "1e-10"], f"t_end / dt must not exceed {INT64_MAX} steps"),
         (["ou", "--t_end", "1e300", "--dt", "1e-10"], f"t_end / dt must not exceed {INT64_MAX} steps"),
-    ], ids=["scaling-factor", "simulate-batch", "simulate-steps", "flow-horizon", "ou-horizon"])
+        (["scaling", "--base_lr", "0.1", "--base_bs", "4", "--factors", "1e308", "--steps", "10"],
+         "factor 1e+308 must be finite and keep the batch size finite and at least 1"),
+        (["clt", "--delta_list", "0.1,5e-324", "--t_end", "1", "--replicas", "100"],
+         f"step size 5e-324 must be finite and reach t_end 1.0 in at most {INT64_MAX} steps"),
+    ], ids=["scaling-factor", "simulate-batch", "simulate-steps", "flow-horizon", "ou-horizon",
+            "scaling-factor-overflow", "clt-step-size"])
     def test_counts_beyond_int64_are_rejected(self, tmp_path, capsys, args, message):
         workers = ["--workers", "1"] if args[0] == "scaling" else []
         code = main(args + ["--out_dir", str(tmp_path), "--master_seed", "0"] + workers)

@@ -172,6 +172,13 @@ class TestPredictionReport:
         report = prediction_report(0.02, 4, tr_h=8.0, tr_sigma2=0.0, tr_sigma2_h=0.0)
         assert math.isnan(report.magnitude_difference)
 
+    def test_nan_traces_give_nan_predictions(self):
+        nan = float("nan")
+        report = prediction_report(0.1, 2, nan, nan, nan)
+        for value in (report.pred_loss_j2018, report.pred_excess_loss_w2019,
+                      report.pred_gradnorm_w2019, report.magnitude_difference):
+            assert math.isnan(value)
+
     def test_as_dict_round_trip(self):
         report = prediction_report(0.1, 2, 1.0, 2.0, 3.0)
         d = report.as_dict()

@@ -13,11 +13,15 @@ import pytest
 import sgdscope
 from sgdscope import engine, experiments
 from sgdscope.cli import main
-from sgdscope.engine import DivergenceError, EngineError, SgdConfig, gaussian_sgd_run
-from sgdscope.estimators import EstimatorError
+from sgdscope.engine import DivergenceError, EngineError, SgdConfig, Trajectory, gaussian_sgd_run
+from sgdscope.estimators import EstimatorError, prediction_report
 from sgdscope.experiments import (
+    CltReport,
+    CurveEntry,
     CurveSet,
     ExperimentError,
+    SaddleReport,
+    ScanRow,
     clt_experiment,
     derive_seed,
     linear_scaling_experiment,
@@ -141,8 +145,9 @@ class TestScanBsLr:
             flow_t=0.5, flow_dt=0.05,
         )
         assert not rows[0].converged
-        assert math.isnan(rows[0].pred_j2018)
-        assert math.isnan(rows[0].magnitude_difference)
+        for name in ("pred_j2018", "pred_w2019_loss", "pred_w2019_gradnorm", "magnitude_difference",
+                     "tr_h", "tr_sigma2", "tr_sigma2_h"):
+            assert math.isnan(getattr(rows[0], name)), name
         assert np.isfinite(rows[0].measured_grad_norm_sq)
 
     def test_validation(self, monkeypatch):
@@ -373,6 +378,21 @@ class TestLinearScaling:
             linear_scaling_experiment(model, base=(0.05, 2), factors=[1, factor], off_ratio=[],
                                       run_length=100, seed=0)
 
+    def test_factor_overflowing_the_batch_size_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_rows", lambda *args, **kwargs: pytest.fail("a run started"))
+        with pytest.raises(ExperimentError, match=r"^factor 1e\+308 must be finite and keep the batch"):
+            linear_scaling_experiment(isotropic_quadratic(1, 1.0, 0.2), base=(0.1, 4), factors=[2, 1e308],
+                                      off_ratio=[], run_length=10, seed=0)
+
+    def test_off_ratio_ranking_takes_quotients_beyond_the_float_range(self):
+        # At base lr 5e-324 the base m/lr overflows; the ratio changes are
+        # 2e322 for lr 0.1 and 2e23 for lr 1e-300.
+        curves = linear_scaling_experiment(
+            isotropic_quadratic(1, 1.0, 0.2), base=(5e-324, 4), factors=[],
+            off_ratio=[(0.1, 4), (1e-300, 4)], run_length=10, seed=0,
+        )
+        assert [e.ratio_class for e in curves.entries] == ["far_ratio", "near_ratio"]
+
     @pytest.mark.parametrize("fraction", [2.0, -1.0, 1.0, float("nan")])
     def test_burn_in_outside_the_window_rejected_before_any_run(self, fraction, monkeypatch):
         monkeypatch.setattr(experiments, "_run_rows", lambda *args, **kwargs: pytest.fail("a run started"))
@@ -447,6 +467,15 @@ class TestCltExperiment:
         logistic = make_logistic(features, labels)
         with pytest.raises(ExperimentError, match="quadratic"):
             clt_experiment(logistic, [0.01], 1, 1.0, 200, 0)
+
+    @pytest.mark.parametrize("deltas", [[0.1, 5e-324], [0.1, 1e-300], [float("inf")]],
+                             ids=["quotient-overflow", "beyond-int64", "infinite"])
+    def test_step_counts_checked_before_any_ensemble(self, deltas, monkeypatch):
+        monkeypatch.setattr(experiments, "sgd_replica_ensemble",
+                            lambda *args, **kwargs: pytest.fail("an ensemble started"))
+        with pytest.raises(ExperimentError, match=rf"^step size {deltas[-1]} must be finite and reach "
+                                                  rf"t_end 1.0 in at most {engine._COUNT_LIMIT} steps$"):
+            clt_experiment(isotropic_quadratic(1, 1.0, 1.0), deltas, 1, 1.0, 100, 0)
 
     def test_report_dict_is_json_serializable(self):
         model = isotropic_quadratic(1, 1.0, 0.5)
@@ -563,3 +592,63 @@ class TestSaddleDivergence:
         )
         blob = json.loads(json.dumps(report.as_dict()))
         assert blob["verdict"] in ("DIVERGED", "STABLE")
+
+
+def test_every_json_report_has_fixed_keys_each_naming_its_field():
+    """The exact keys of each report's ``as_dict`` and the field behind each key."""
+    def check(d, fields, report):
+        assert set(d) == set(fields)
+        assert all(d[key] == getattr(report, name) for key, name in fields.items())
+
+    report = prediction_report(0.1, 2, 1.0, 2.0, 3.0)
+    check(report.as_dict(), {key: key for key in (
+        "tr_h", "tr_sigma2", "tr_sigma2_h", "pred_loss_j2018", "pred_excess_loss_w2019",
+        "pred_gradnorm_w2019", "magnitude_difference")}, report)
+
+    report = SaddleReport(verdict="DIVERGED", escape_fraction=0.75, median_slope=0.011,
+                          expected_slope=0.0099, expected_slope_small_lr=0.01,
+                          replica_slopes=[0.01, 0.012], lambda_neg=-1.0, learning_rate=0.02,
+                          batch_size=3, steps=2000, replicas=4)
+    check(report.as_dict(), {key: key for key in (
+        "verdict", "escape_fraction", "median_slope", "expected_slope", "expected_slope_small_lr",
+        "replica_slopes", "lambda_neg", "steps", "replicas")}
+        | {"lr": "learning_rate", "bs": "batch_size"}, report)
+
+    report = CltReport(learning_rates=[0.1, 0.01], batch_size=2, t_end=3.0, replicas=100,
+                       frobenius_errors=[0.2, 0.1], noise_allowance=0.14, monotone_ok=True,
+                       predicted_covs=[SymMatrix([[1.0]]), SymMatrix([[0.5]])],
+                       empirical_covs=[np.array([[1.1]]), np.array([[0.6]])])
+    d = report.as_dict()
+    assert d.pop("predicted_cov_smallest_lr") == [[0.5]]
+    assert d.pop("empirical_cov_smallest_lr") == [[0.6]]
+    check(d, {key: key for key in (
+        "learning_rates", "batch_size", "t_end", "replicas", "frobenius_errors",
+        "noise_allowance", "monotone_ok")}, report)
+
+    traj = Trajectory(1, np.array([0]), np.array([0.0]), np.array([1.0]), np.array([2.0]))
+    base = CurveEntry(label="base", ratio_class="base", learning_rate=0.05, batch_size=2,
+                      trajectory=traj, smoothed=np.ones(1), divergence_from_base=float("nan"))
+    entry = CurveEntry(label="lr0.1_bs4", ratio_class="same_ratio", learning_rate=0.1,
+                       batch_size=4, trajectory=traj, smoothed=np.ones(1), divergence_from_base=0.25)
+    curves = CurveSet(base=base, entries=[entry], grid=np.ones(1),
+                      class_divergence={"same_ratio": 0.25})
+    assert curves.as_dict() == {
+        "base_label": "base",
+        "class_divergence": {"same_ratio": 0.25},
+        "entries": [{"label": "lr0.1_bs4", "ratio_class": "same_ratio", "lr": 0.1, "bs": 4,
+                     "divergence_from_base": 0.25}],
+    }
+
+    row = ScanRow(experiment_id="exp01", batch_size=4, learning_rate=0.1, ratio=40.0, tr_h=1.0,
+                  tr_sigma2=2.0, tr_sigma2_h=3.0, measured_excess_loss=0.04,
+                  measured_grad_norm_sq=0.05, pred_j2018=0.025, pred_w2019_loss=0.05,
+                  pred_w2019_gradnorm=0.0375, magnitude_difference=0.5, replica_count=7,
+                  converged=False)
+    check(row.as_dict(), {
+        "experiment_id": "experiment_id", "bs": "batch_size", "lr": "learning_rate",
+        "bs_over_lr": "ratio", "tr_h": "tr_h", "tr_sigma2": "tr_sigma2",
+        "tr_sigma2_h": "tr_sigma2_h", "excess_loss": "measured_excess_loss",
+        "grad_norm_sq": "measured_grad_norm_sq", "pred_j2018": "pred_j2018",
+        "pred_w2019_loss": "pred_w2019_loss", "pred_w2019_gradnorm": "pred_w2019_gradnorm",
+        "magnitude_diff": "magnitude_difference", "replicas": "replica_count",
+        "converged": "converged"}, row)
