@@ -104,10 +104,6 @@ def _build_mlp(cfg: RunConfig):
     return make_mlp(features.shape[1], cfg.hidden_dim, cfg.class_count, (features, labels), cfg.model_seed)
 
 
-def _build_model(cfg: RunConfig):
-    return MODELS[cfg.model][0](cfg)
-
-
 def _start_point(cfg: RunConfig, model) -> np.ndarray:
     if cfg.theta0 is not None:
         theta = np.asarray(cfg.theta0, dtype=float)
@@ -138,9 +134,10 @@ def _write_json(path: str, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each yields ``(file name, writer, value...)`` in the
-# order its files are written; ``run`` writes each one under out_dir before
-# it asks for the next, so a later failure leaves the earlier files behind.
+# Command handlers.  Each takes the config and what ``_inputs`` built, and
+# yields ``(file name, writer, value...)`` in the order its files are
+# written; ``run`` writes each one under out_dir before it asks for the
+# next, so a later failure leaves the earlier files behind.
 
 
 def _trajectory_files(traj):
@@ -149,14 +146,11 @@ def _trajectory_files(traj):
         yield "snapshots.csv", write_snapshots_csv, traj
 
 
-def _cmd_simulate(cfg: RunConfig):
-    model = _build_model(cfg)
+def _cmd_simulate(cfg: RunConfig, model, theta0):
     run_cfg = SgdConfig(cfg.learning_rate, cfg.batch_size, cfg.steps, cfg.master_seed,
                         **_present(cfg, "sampling"))
-    traj = sgd_run(
-        model, _start_point(cfg, model), run_cfg,
-        record_stride=_auto_stride(cfg, cfg.steps), snapshots=cfg.snapshots,
-    )
+    traj = sgd_run(model, theta0, run_cfg, record_stride=_auto_stride(cfg, cfg.steps),
+                   snapshots=cfg.snapshots)
     yield from _trajectory_files(traj)
     stats = stationary_stats(traj, cfg.burn_in)
     yield "simulate.json", _write_json, {
@@ -168,12 +162,9 @@ def _cmd_simulate(cfg: RunConfig):
     }
 
 
-def _cmd_flow(cfg: RunConfig):
-    model = _build_model(cfg)
-    traj = gradient_flow(
-        model, _start_point(cfg, model), cfg.t_end, cfg.dt,
-        record_stride=_auto_stride(cfg, _step_count(cfg.t_end, cfg.dt)),
-    )
+def _cmd_flow(cfg: RunConfig, model, theta0):
+    traj = gradient_flow(model, theta0, cfg.t_end, cfg.dt,
+                         record_stride=_auto_stride(cfg, _step_count(cfg.t_end, cfg.dt)))
     yield from _trajectory_files(traj)
     yield "flow.json", _write_json, {
         "final_loss": float(traj.losses[-1]),
@@ -201,57 +192,46 @@ def _cmd_ou(cfg: RunConfig):
     yield "ou.json", _write_json, payload
 
 
-def _cmd_scan(cfg: RunConfig):
-    model = _build_model(cfg)
+def _cmd_scan(cfg: RunConfig, model, theta0):
     rows = scan_bs_lr(
         model, list(zip(cfg.lr_list, cfg.bs_list)), run_length=cfg.steps, replicas=cfg.replicas,
-        master_seed=cfg.master_seed, theta_start=_start_point(cfg, model),
-        record_stride=cfg.record_stride or None,
+        master_seed=cfg.master_seed, theta_start=theta0, record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers, **_present(cfg, "flow_t", "flow_dt"),
     )
     yield "scan.csv", write_scan_csv, rows
     yield "scan.json", _write_json, [row.as_dict() for row in rows]
 
 
-def _cmd_scaling(cfg: RunConfig):
-    model = _build_model(cfg)
+def _cmd_scaling(cfg: RunConfig, model, theta0):
     curves = linear_scaling_experiment(
         model, base=(cfg.base_lr, cfg.base_bs), factors=list(cfg.factors),
         off_ratio=list(zip(cfg.off_lr_list, cfg.off_bs_list)), run_length=cfg.steps,
-        seed=cfg.master_seed, theta0=_start_point(cfg, model), record_stride=cfg.record_stride or None,
+        seed=cfg.master_seed, theta0=theta0, record_stride=cfg.record_stride or None,
         burn_in_fraction=cfg.burn_in, workers=cfg.workers,
     )
     yield "curves.csv", write_curves_csv, curves
     yield "scaling.json", _write_json, curves.as_dict()
 
 
-def _cmd_clt(cfg: RunConfig):
-    model = _build_model(cfg)
-    report = clt_experiment(
-        model, list(cfg.delta_list), cfg.batch_size, cfg.t_end, cfg.replicas, cfg.master_seed,
-        theta0=_start_point(cfg, model),
-    )
+def _cmd_clt(cfg: RunConfig, model, theta0):
+    report = clt_experiment(model, list(cfg.delta_list), cfg.batch_size, cfg.t_end, cfg.replicas,
+                            cfg.master_seed, theta0=theta0)
     yield "clt.json", _write_json, report.as_dict()
 
 
-def _cmd_saddle(cfg: RunConfig):
-    report = saddle_divergence_experiment(
-        *_quadratic_matrices(cfg), cfg.learning_rate, cfg.batch_size, cfg.steps,
-        cfg.replicas, cfg.master_seed,
-    )
+def _cmd_saddle(cfg: RunConfig, hessian, noise):
+    report = saddle_divergence_experiment(hessian, noise, cfg.learning_rate, cfg.batch_size,
+                                          cfg.steps, cfg.replicas, cfg.master_seed)
     yield "saddle.json", _write_json, report.as_dict()
 
 
-def _cmd_estimate(cfg: RunConfig):
-    model = _build_model(cfg)
-    report = model_report(model, _start_point(cfg, model), cfg.learning_rate, cfg.batch_size)
+def _cmd_estimate(cfg: RunConfig, model, theta0):
+    report = model_report(model, theta0, cfg.learning_rate, cfg.batch_size)
     _say(format_prediction_report(report))
     yield "estimate.json", _write_json, report.as_dict()
 
 
-def _cmd_lyapunov(cfg: RunConfig):
-    hessian = read_matrix_csv(cfg.hessian_file)
-    noise = read_matrix_csv(cfg.noise_file)
+def _cmd_lyapunov(cfg: RunConfig, hessian, noise):
     gamma = solve_lyapunov(hessian, noise)
     yield "gamma.csv", write_matrix_csv, gamma
     yield "lyapunov.json", _write_json, {
@@ -604,12 +584,23 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(values)
 
 
+def _inputs(cfg: RunConfig) -> tuple:
+    """A model command's model and start point, a matrix command's H and C, or nothing."""
+    _, keys, models, _ = COMMANDS[cfg.command]
+    if models:
+        model = MODELS[cfg.model][0](cfg)
+        return model, _start_point(cfg, model)
+    return _quadratic_matrices(cfg) if "hessian_file" in keys else ()
+
+
 def run(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Build the inputs before writing anything, so a refusal on file contents leaves no file."""
     _say(f"master_seed = {cfg.master_seed}")
+    inputs = _inputs(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg.resolved_lines())
-    for name, writer, *value in COMMANDS[cfg.command][0](cfg):
+    for name, writer, *value in COMMANDS[cfg.command][0](cfg, *inputs):
         path = os.path.join(cfg.out_dir, name)
         writer(path, *value)
         _say(f"wrote {path}")

@@ -90,7 +90,10 @@ def _check_batch_sizes(batch_sizes, error: type[Exception] = EngineError) -> Non
             raise error("batch_size must be a whole number of at least 1")
 
 
-def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
+# The rules every row meets: a finite positive learning rate, a whole batch
+# size within int64 and, on a finite dataset, within its ``examples``, and
+# a step count within int64.
+def _check_rows(learning_rates, batch_sizes, steps: int, examples: int | None = None) -> None:
     lrs = np.asarray(learning_rates, dtype=float)
     if not (np.isfinite(lrs) & (lrs > 0)).all():
         raise EngineError("learning_rate must be positive and finite")
@@ -101,6 +104,8 @@ def _check_rows(learning_rates, batch_sizes, steps: int) -> None:
         raise EngineError("steps must be at least 1")
     if steps > _COUNT_LIMIT:
         raise EngineError(f"steps must not exceed {_COUNT_LIMIT}")
+    if examples is not None and np.max(batch_sizes) > examples:
+        raise EngineError(f"batch_size {np.max(batch_sizes)} exceeds the {examples} available examples")
 
 
 @dataclass(frozen=True)
@@ -363,12 +368,9 @@ def _advance_rows(
     usable CPUs (``_split_rows``).  Only the process advancing a row
     advances a ``Generator`` given as its seed.
     """
-    lrs = np.array(learning_rates, dtype=float)
-    _check_rows(lrs, batch_sizes, steps)
+    lrs, n = np.array(learning_rates, dtype=float), model.example_count
+    _check_rows(lrs, batch_sizes, steps, n)
     ms = np.array(batch_sizes, dtype=np.int64)
-    n = model.example_count
-    if n is not None and ms.max() > n:
-        raise EngineError(f"batch_size {ms.max()} exceeds the {n} available examples")
     rows, p = lrs.size, model.param_dim
     out = _Rows(lrs, steps, record_stride, p, snapshots, accuracy)
     if isinstance(model, QuadraticModel):

@@ -168,8 +168,9 @@ def scan_bs_lr(
     a quadratic call only from ``engine._SPLIT_ENTRIES`` noise entries on).
     A diverging run raises the :class:`DivergenceError` with the earliest
     step of all runs, carrying that run's partial trajectory.  A model
-    above the dense guard raises ``problems.ModelError`` before the
-    minimum search.
+    above the dense guard raises ``problems.ModelError``, and a batch size
+    above a finite dataset's example count or a bad ``run_length``
+    ``engine.EngineError``, before the minimum search.
     """
     grid = [_checked_pair("grid pair", lr, m) for lr, m in grid]
     if not grid:
@@ -178,6 +179,7 @@ def scan_bs_lr(
         raise ExperimentError("replicas must be at least 1")
     _check_burn_in(burn_in_fraction)
     _check_dense_guard(model)
+    engine._check_rows(*zip(*grid), run_length, model.example_count)
     theta_star, converged = _locate_minimum(model, theta_start, flow_t, flow_dt)
     base_loss = float(model.loss(theta_star))
     if converged:
@@ -323,7 +325,8 @@ def linear_scaling_experiment(
     (lr, m) equals the base draws the same seed and so reproduces the base
     run exactly.  All configs run as rows of one core call, in at most
     ``workers`` processes as in :func:`scan_bs_lr`.  A classifier's
-    accuracy is recorded with each of its records.
+    accuracy is recorded with each of its records.  Configs that share a
+    label ``lr<lr:g>_bs<m>`` are refused before any run.
     """
     base_lr, base_m = _checked_pair("base pair", *base)
     off_ratio = [_checked_pair("off-ratio pair", lr, m) for lr, m in off_ratio]
@@ -340,6 +343,10 @@ def linear_scaling_experiment(
         configs.append((f"lr{lr:g}_bs{m}", "same_ratio", lr, m))
     for (lr, m), cls in zip(off_ratio, _classify_off_ratio((base_lr, base_m), off_ratio)):
         configs.append((f"lr{lr:g}_bs{m}", cls, lr, m))
+    labels = [label for label, *_ in configs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ExperimentError(f"more than one config has the label {label}")
 
     theta_init = np.zeros(model.param_dim) if theta0 is None else np.asarray(theta0, float)
     stride = record_stride or max(1, run_length // 2000)
@@ -385,11 +392,10 @@ def write_curves_csv(path, curves: CurveSet) -> None:
     columns += [np.concatenate([np.asarray(getattr(e.trajectory, key), dtype=dtype) for e in entries])
                 for key, dtype in (("steps", np.int64), ("times", float), ("losses", float))]
     header = "config_label,ratio_class,step,t,loss"
-    if curves.base.accuracy is not None:
-        header += ",accuracy"  # an entry without accuracy gets empty cells, in an object column
-        columns.append(np.concatenate([
-            np.full(len(e.trajectory.steps), "", dtype=object) if e.accuracy is None
-            else np.asarray(e.accuracy[: len(e.trajectory.steps)], dtype=float) for e in entries]))
+    if curves.base.accuracy is not None:  # every entry has accuracy, or none has
+        header += ",accuracy"
+        columns.append(np.concatenate([np.asarray(e.accuracy[: len(e.trajectory.steps)], dtype=float)
+                                       for e in entries]))
     _write_csv(path, header, columns)
 
 

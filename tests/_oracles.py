@@ -99,6 +99,6 @@ def curves_csv(curves) -> str:
             cells = [e.label, e.ratio_class, str(int(traj.steps[i])),
                      repr(float(traj.times[i])), repr(float(traj.losses[i]))]
             if with_accuracy:
-                cells.append("" if e.accuracy is None else repr(float(e.accuracy[i])))
+                cells.append(repr(float(e.accuracy[i])))
             rows.append(",".join(cells))
     return _lines(header, rows)

@@ -292,7 +292,7 @@ class TestKeyRules:
 
     def test_clt_checks_the_length_of_theta0(self, tmp_path, capsys):
         # The default dim is 2, so the keys alone disagree; with H from a
-        # file only the handler knows the dimension.
+        # file the dimension is known only once the run builds its inputs.
         assert_refused(tmp_path, capsys, ["clt", "--delta_list", "0.1", "--theta0", "1,2,3"],
                        "clt with model=quadratic sets dimensions that disagree: dim 2, theta0 3")
         write_matrix_csv(tmp_path / "h.csv", SymMatrix(np.diag([1.0, 2.0])))
@@ -315,7 +315,7 @@ class TestKeyRules:
         reader = args[0] if args[0] == "saddle" else f"{args[0]} with model=quadratic"
         assert_refused(tmp_path, capsys, args, f"{reader} sets dimensions that disagree: {sizes}")
 
-    def test_theta0_of_a_finite_data_model_is_left_to_the_handler(self):
+    def test_theta0_of_a_finite_data_model_is_left_to_the_input_step(self):
         cfg = parse_config(["simulate", "--model", "logistic", "--dataset_file", "d.csv",
                             "--theta0", "1,2,3", "--master_seed", "0"])
         assert cfg.theta0 == (1.0, 2.0, 3.0)
@@ -534,8 +534,9 @@ class TestCommands:
         assert (out / "scan.json").read_text() == expected + "\n"
 
     def test_saddle_and_simulate_report_the_same_dimension_mismatch(self, tmp_path, capsys):
-        # From keys alone parse_config refuses the run before writing anything;
-        # a matrix from a file is checked by the handler.
+        # From keys alone parse_config refuses the run (exit 2); a matrix from
+        # a file is checked when the run builds its inputs (exit 1).  Neither
+        # writes anything.
         for command in ("simulate", "saddle"):
             reader = command if command == "saddle" else f"{command} with model=quadratic"
             code = main([command, "--out_dir", str(tmp_path / command), "--hessian_diag", "1,-1",
@@ -553,6 +554,48 @@ class TestCommands:
             assert capsys.readouterr().err == (
                 f"error: {command}: noise dimension 3 does not match curvature dimension 2\n"
             )
+            assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--hessian_file", "eye3.csv", "--noise_diag", "1,1"],
+         "simulate: noise dimension 2 does not match curvature dimension 3"),
+        (["saddle", "--hessian_diag", "1,-1", "--noise_file", "eye3.csv"],
+         "saddle: noise dimension 3 does not match curvature dimension 2"),
+        (["lyapunov", "--hessian_file", "eye2.csv", "--noise_file", "eye3.csv"],
+         "lyapunov: noise dimension 3 does not match curvature dimension 2"),
+        (["simulate", "--model", "logistic", "--dataset_file", "two.csv", "--theta0", "1,2,3"],
+         "simulate: theta0 has 3 entries; the model needs 2"),
+        (["simulate", "--model", "mlp", "--dataset_file", "three.csv", "--class_count", "2"],
+         "simulate: class_count = 2 but the dataset contains label 2"),
+        (["estimate", "--model", "logistic", "--dataset_file", "missing.csv"],
+         "io: [Errno 2] No such file or directory: 'missing.csv'"),
+    ], ids=["matrix-file", "noise-file", "lyapunov", "theta0", "class_count", "missing-dataset"])
+    def test_inputs_refused_on_file_contents_leave_no_out_dir(self, tmp_path, capsys, monkeypatch,
+                                                              args, message):
+        monkeypatch.chdir(tmp_path)
+        for dim in (2, 3):
+            write_matrix_csv(tmp_path / f"eye{dim}.csv", SymMatrix(np.eye(dim)))
+        for name, classes in (("two.csv", 2), ("three.csv", 3)):
+            write_dataset_csv(tmp_path / name, *generate_blobs(40, 2, classes, seed=1))
+        code = main(args + ["--out_dir", "run", "--master_seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_a_run_failing_after_its_inputs_are_built_leaves_config_resolved(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["flow", "--out_dir", str(out), "--theta0", "1,-1", "--dt", "5", "--t_end", "100",
+                     "--master_seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: flow: divergence at step 11: iterate norm guard tripped\n"
+        assert os.listdir(out) == ["config.resolved"]
+
+    def test_scaling_refuses_two_configs_with_one_label(self, tmp_path, capsys):
+        code = main(["scaling", "--out_dir", str(tmp_path), "--base_lr", "0.1", "--base_bs", "4",
+                     "--off_lr_list", "0.1000001,0.1000002", "--off_bs_list", "8,8",
+                     "--steps", "200", "--master_seed", "0", "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: scaling: more than one config has the label lr0.1_bs8\n"
 
     @pytest.mark.parametrize("off_lr, off_bs", [("0", "2"), ("-0.1", "2"), ("0.05", "0"),
                                                 ("0.05", "-2")])

@@ -250,8 +250,12 @@ class TestScanBsLr:
                            + json.dumps([r.as_dict() for r in rows]).encode())
         assert outputs[0] == outputs[1]
 
-    def test_finite_data_batch_larger_than_the_data_rejected(self):
-        with pytest.raises(EngineError, match="exceeds the 30 available examples"):
+    def test_finite_data_batch_larger_than_the_data_rejected(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the minimum search ran on a grid the data cannot fill")
+
+        monkeypatch.setattr(experiments, "gradient_flow", no_flow)
+        with pytest.raises(EngineError, match="^batch_size 31 exceeds the 30 available examples$"):
             scan_bs_lr(blob_logistic(0.1), [(0.1, 31)], run_length=10, replicas=1,
                        master_seed=0, flow_t=0.5, flow_dt=0.05)
 
@@ -338,6 +342,16 @@ class TestLinearScaling:
             outputs.append((tmp_path / "curves.csv").read_bytes()
                            + json.dumps(curves.as_dict()).encode())
         assert outputs[0] == outputs[1]
+
+    def test_configs_sharing_a_label_are_refused_before_any_run(self, monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("configs ran before their labels were checked")
+
+        monkeypatch.setattr(experiments, "_run_rows", no_runs)
+        with pytest.raises(ExperimentError, match="^more than one config has the label lr0.1_bs8$"):
+            linear_scaling_experiment(isotropic_quadratic(2, 1.0, 0.4), base=(0.1, 4), factors=[],
+                                      off_ratio=[(0.1000001, 8), (0.1000002, 8)], run_length=200,
+                                      seed=0)
 
     def test_finite_data_batch_larger_than_the_data_rejected(self):
         with pytest.raises(EngineError, match="exceeds the 30 available examples"):

@@ -291,8 +291,6 @@ WRITER_CASES = {
     "curves-accuracy": (experiments.write_curves_csv, _oracles.curves_csv, (_curves([50, 50, 40], [1, 1, 1]),)),
     "curves-no-accuracy": (experiments.write_curves_csv, _oracles.curves_csv,
                            (_curves([3, 70], [None, None]),)),
-    "curves-entry-without-accuracy": (experiments.write_curves_csv, _oracles.curves_csv,
-                                      (_curves([20, 60], [1, None]),)),
 }
 
 
