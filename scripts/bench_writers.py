@@ -39,14 +39,15 @@ def _load(tree: str, name: str) -> dict:
 def _cases(m: dict) -> dict:
     rng = np.random.default_rng(20)
 
-    def traj(n, p=None, stride=1):
+    def traj(n, p=None, stride=1, accuracies=None):
         steps = np.arange(n, dtype=np.int64) * stride
         return m["engine"].Trajectory(stride, steps, steps * 0.05, rng.random(n), rng.random(n),
-                                      None if p is None else rng.standard_normal((n, p)))
+                                      None if p is None else rng.standard_normal((n, p)), accuracies)
 
     a = rng.standard_normal((64, 64))
     entries = [m["experiments"].CurveEntry(f"lr{i}_bs{i}", "base" if i == 0 else "same_ratio", 0.05, 32,
-                                           traj(2001, stride=6), np.zeros(200), 0.1, rng.random(2001))
+                                           traj(2001, stride=6, accuracies=rng.random(2001)), np.zeros(200),
+                                           0.1)
                for i in range(6)]
     row = dict(experiment_id="exp01", batch_size=10, learning_rate=0.01, ratio=1000.0, tr_h=7.5,
                tr_sigma2=1.0, tr_sigma2_h=1.5, measured_excess_loss=0.00123, measured_grad_norm_sq=0.0045,

@@ -30,7 +30,13 @@ from .engine import (
     write_snapshots_csv,
     write_trajectory_csv,
 )
-from .estimators import EstimatorError, format_prediction_report, model_report, stationary_stats
+from .estimators import (
+    EstimatorError,
+    format_prediction_report,
+    model_report,
+    predict_loss_j2018,
+    stationary_stats,
+)
 from .experiments import (
     ExperimentError,
     clt_experiment,
@@ -181,15 +187,13 @@ def _cmd_ou(cfg: RunConfig):
     yield "trajectory.csv", write_trajectory_csv, traj
     stats = stationary_stats(traj, cfg.burn_in)
     lam = np.asarray(cfg.eigenvalues, dtype=float)
-    payload = {
+    yield "ou.json", _write_json, {
         "mean_loss": stats.mean_loss,
-        "predicted_loss": cfg.learning_rate * float(lam.sum()) / (4.0 * cfg.batch_size),
+        "predicted_loss": predict_loss_j2018(cfg.learning_rate, cfg.batch_size, float(lam.sum())),
         "predicted_variance": cfg.learning_rate / (2.0 * cfg.batch_size),
         "sample_count": stats.sample_count,
+        "empirical_variance": stats.param_variance.tolist(),
     }
-    if stats.param_variance is not None:
-        payload["empirical_variance"] = stats.param_variance.tolist()
-    yield "ou.json", _write_json, payload
 
 
 def _cmd_scan(cfg: RunConfig, model, theta0):

@@ -13,7 +13,11 @@ generator through ``_advance_rows``.  Quadratic rows advance together in
 ``_lockstep``, which also runs the exact OU diffusion ``ou_eigenbasis_run``;
 every other row, the deterministic RK4 ``gradient_flow`` included, is one
 guarded loop, ``_loop_row``, over its own step function.  Only
-``_advance_rows`` sends rows to other processes (``_split_rows``).
+``_advance_rows`` sends rows to other processes (``_split_rows``), and
+``_run_rows`` turns its rows into trajectories.  ``_Rows`` decides what a
+run records: a snapshot request over ``SNAPSHOT_BUDGET`` entries is refused
+before any row steps, and every recorded column leaves it as a field of
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ import math
 import os
 import pickle
 import signal
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -48,9 +51,9 @@ __all__ = [
 
 # Abort once ||theta||^2 exceeds this (i.e. ||theta|| > 1e12).
 DIVERGENCE_NORM_SQ = 1e24
-# Full parameter snapshots are kept only while their total entry count
-# (records x rows x parameters) stays under this budget; beyond it runs
-# fall back to summary records.
+# A run that asks for full parameter snapshots is refused, before any row
+# steps, when their total entry count (records x rows x parameters) exceeds
+# this budget.
 SNAPSHOT_BUDGET = 10_000_000
 
 SAMPLING_MODES = ("with_replacement", "without_replacement")
@@ -128,11 +131,13 @@ class SgdConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded (step, time, loss, ||grad||^2) rows, optionally with states.
+    """Recorded (step, time, loss, ||grad||^2) rows, optionally with states
+    and a classifier's accuracy.
 
     ``times`` equals ``steps * time_step`` for whichever time step the
     producing run used (the learning rate for discrete runs, dt for
-    integrators).
+    integrators).  Every field after ``steps`` is a column of one entry per
+    record; a column the run did not record is None.
     """
 
     record_stride: int
@@ -141,17 +146,19 @@ class Trajectory:
     losses: np.ndarray
     grad_norms_sq: np.ndarray
     thetas: np.ndarray | None = None
+    accuracies: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         k = len(self.steps)
-        if not (len(self.times) == len(self.losses) == len(self.grad_norms_sq) == k):
-            raise EngineError("trajectory column lengths disagree")
+        for column in fields(self)[2:]:
+            values = getattr(self, column.name)
+            if values is not None and len(values) != k:
+                raise EngineError(f"trajectory column {column.name} has {len(values)} entries "
+                                  f"for {k} steps")
         if k == 0:
             raise EngineError("trajectory must contain at least one record")
         if (np.diff(self.steps) <= 0).any():
             raise EngineError("trajectory steps must increase strictly")
-        if self.thetas is not None and len(self.thetas) != k:
-            raise EngineError("snapshot count must match record count")
 
 
 def _record_count(total_steps: int, stride: int) -> int:
@@ -166,13 +173,16 @@ class _Rows:
     last one); ``counts[r]`` is how many of those records row ``r`` reached.
     Columns are ``(records, rows)``, snapshots ``(records, rows, p)``; with
     ``accuracy``, ``record`` also fills a classifier's ``model.accuracy``
-    into ``accuracies``.  ``failures`` maps each row the guard stopped to
-    its divergence, which carries the step it stopped at and the row's
-    partial trajectory; the other rows ran to the horizon and left their
-    last state in ``finals``.  Every buffer starts zeroed.
+    into ``accuracies``.  A snapshot request of more than
+    ``SNAPSHOT_BUDGET`` entries is refused here, before any row steps.
+    ``failures`` maps each row the guard stopped to its divergence, which
+    carries the step it stopped at and the row's partial trajectory; the
+    other rows ran to the horizon and left their last state in ``finals``.
+    Every buffer starts zeroed.
     """
 
-    # The columns of shape (records, rows, ...); one not asked for is None.
+    # The columns of shape (records, rows, ...), each a Trajectory field; one
+    # not asked for is None.
     RECORD_COLUMNS = ("losses", "grad_norms_sq", "accuracies", "thetas")
 
     def __init__(self, time_steps, total_steps: int, stride: int, param_dim: int, snapshots: bool,
@@ -182,21 +192,17 @@ class _Rows:
         n_rec = _record_count(total_steps, stride)
         self.time_steps = np.asarray(time_steps, dtype=float)
         rows = self.time_steps.size
+        if snapshots and n_rec * rows * param_dim > SNAPSHOT_BUDGET:
+            raise EngineError(
+                f"a snapshot request of {n_rec * rows * param_dim} entries exceeds the snapshot "
+                f"budget {SNAPSHOT_BUDGET}; use a larger record_stride or fewer rows"
+            )
         self.stride = stride
         self.steps = np.append(np.arange(n_rec - 1, dtype=np.int64) * stride, np.int64(total_steps))
         self.losses = np.zeros((n_rec, rows))
         self.grad_norms_sq = np.zeros((n_rec, rows))
         self.accuracies = np.zeros((n_rec, rows)) if accuracy else None
-        self.thetas: np.ndarray | None = None
-        if snapshots:
-            if n_rec * rows * param_dim > SNAPSHOT_BUDGET:
-                warnings.warn(
-                    f"snapshot request of {n_rec * rows * param_dim} entries exceeds the "
-                    f"budget {SNAPSHOT_BUDGET}; keeping summary records only",
-                    stacklevel=4,
-                )
-            else:
-                self.thetas = np.zeros((n_rec, rows, param_dim))
+        self.thetas = np.zeros((n_rec, rows, param_dim)) if snapshots else None
         self.counts = np.zeros(rows, dtype=np.int64)
         self.failures: dict[int, DivergenceError] = {}
         self.finals = np.zeros((rows, param_dim))
@@ -220,14 +226,11 @@ class _Rows:
         """Row ``row``'s records so far, as views into the buffer."""
         k = self.counts[row]
         steps = self.steps[:k]
-        return Trajectory(
-            record_stride=self.stride,
-            steps=steps,
-            times=steps * self.time_steps[row],
-            losses=self.losses[:k, row],
-            grad_norms_sq=self.grad_norms_sq[:k, row],
-            thetas=None if self.thetas is None else self.thetas[:k, row],
-        )
+        columns = {}
+        for name in _Rows.RECORD_COLUMNS:
+            column = getattr(self, name)
+            columns[name] = None if column is None else column[:k, row]
+        return Trajectory(self.stride, steps, steps * self.time_steps[row], **columns)
 
     def first_divergence(self) -> tuple[int, DivergenceError] | None:
         """``(row, error)`` of the row that tripped first (earliest step, then row), if any did."""
@@ -398,6 +401,18 @@ def _advance_rows(
     else:
         advance(out, slice(None))
     return out
+
+
+def _run_rows(model: LossModel, theta0, runs, steps: int, **options) -> list[Trajectory]:
+    """Trajectories of ``(lr, m, seed)`` runs from ``theta0``, in run order.
+
+    All runs are rows of one ``_advance_rows`` call, which takes
+    ``options``.  If any run diverges, the divergence with the earliest step
+    over all runs is raised (the earlier run on a tie).
+    """
+    out = _advance_rows(model, as_param_vector(theta0, model.param_dim), *zip(*runs), steps, **options)
+    out.raise_first_divergence()
+    return [out.trajectory(r) for r in range(len(runs))]
 
 
 def _minibatch_step(model: LossModel, lr: float, draw, theta: np.ndarray) -> np.ndarray:
@@ -633,7 +648,8 @@ def sgd_run(
     ``batch_size`` per-example draws, and run on the lockstep core as a
     single row.
     """
-    return _single_row(model, theta0, cfg, record_stride, snapshots)
+    return _run_rows(model, theta0, [(cfg.learning_rate, cfg.batch_size, cfg.seed)], cfg.steps,
+                     record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling)[0]
 
 
 def gaussian_sgd_run(
@@ -654,19 +670,8 @@ def gaussian_sgd_run(
     """
     if not isinstance(model, QuadraticModel):
         raise EngineError("gaussian_sgd_run needs a synthesized-noise quadratic model")
-    return _single_row(model, theta0, cfg, record_stride, snapshots)
-
-
-def _single_row(model: LossModel, theta0, cfg: SgdConfig, record_stride: int,
-                snapshots: bool) -> Trajectory:
-    # Shared by sgd_run and gaussian_sgd_run: a run is one public call, never two nested.
-    theta = as_param_vector(theta0, model.param_dim)
-    run = _advance_rows(
-        model, theta, [cfg.learning_rate], [cfg.batch_size], [cfg.seed], cfg.steps,
-        record_stride=record_stride, snapshots=snapshots, sampling=cfg.sampling,
-    )
-    run.raise_first_divergence()
-    return run.trajectory(0)
+    return _run_rows(model, theta0, [(cfg.learning_rate, cfg.batch_size, cfg.seed)], cfg.steps,
+                     record_stride=record_stride, snapshots=snapshots)[0]
 
 
 def _step_count(t_end: float, dt: float) -> int:

@@ -6,10 +6,10 @@ Every experiment seeds its runs from a single master seed through
 position, replica number, config identity), so results are reproducible
 and independent of how work is partitioned across processes.
 
-The scan and the scaling curves take their runs from one row runner,
-``_run_rows``: all runs are rows of one call of the stepping core, which
-splits them over at most ``workers`` processes.  The divergence with the
-earliest step over all runs is raised.
+The scan and the scaling curves take their runs from the engine's row
+runner, ``engine._run_rows``: all runs are rows of one call of the stepping
+core, which splits them over at most ``workers`` processes.  The divergence
+with the earliest step over all runs is raised.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import engine
-from .engine import DivergenceError, Trajectory, _advance_rows, gradient_flow, sgd_replica_ensemble
+from .engine import (DivergenceError, Trajectory, _advance_rows, _run_rows, gradient_flow,
+                     sgd_replica_ensemble)
 from .estimators import _check_burn_in, _dense_traces, prediction_report, stationary_stats
 from .linalg import SymMatrix, _write_csv
-from .problems import LossModel, QuadraticModel, _check_dense_guard, as_param_vector
+from .problems import LossModel, QuadraticModel, _check_dense_guard
 
 __all__ = [
     "ExperimentError",
@@ -60,21 +61,6 @@ def derive_seed(*parts: int) -> int:
 def float_bits(value: float) -> int:
     """Bit pattern of a float, usable as a seed-derivation label."""
     return int(np.float64(value).view(np.uint64))
-
-
-def _run_rows(model: LossModel, theta0, runs, steps: int, stride: int, workers: int | None,
-              accuracy: bool = False) -> list[tuple[Trajectory, np.ndarray | None]]:
-    """(trajectory, accuracy column) of ``(lr, m, seed)`` runs from ``theta0``, in run order.
-
-    All runs are rows of one core call, in at most ``workers`` processes.
-    If any run diverges, the divergence with the earliest step over all runs
-    is raised (the earlier run on a tie).
-    """
-    out = _advance_rows(model, as_param_vector(theta0, model.param_dim), *zip(*runs), steps,
-                        record_stride=stride, accuracy=accuracy, workers=workers)
-    out.raise_first_divergence()
-    return [(out.trajectory(r), None if out.accuracies is None else out.accuracies[:, r])
-            for r in range(len(runs))]
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +178,8 @@ def scan_bs_lr(
         for gi, (lr, m) in enumerate(grid)
         for r in range(replicas)
     ]
-    stats = [stationary_stats(traj, burn_in_fraction)
-             for traj, _ in _run_rows(model, theta_star, runs, run_length, stride, workers)]
+    trajs = _run_rows(model, theta_star, runs, run_length, record_stride=stride, workers=workers)
+    stats = [stationary_stats(traj, burn_in_fraction) for traj in trajs]
     rows = []
     for gi, (lr, m) in enumerate(grid):
         chunk = stats[gi * replicas : (gi + 1) * replicas]
@@ -236,7 +222,6 @@ class CurveEntry:
     trajectory: Trajectory
     smoothed: np.ndarray
     divergence_from_base: float
-    accuracy: np.ndarray | None = None
 
 
 @dataclass
@@ -351,12 +336,13 @@ def linear_scaling_experiment(
     theta_init = np.zeros(model.param_dim) if theta0 is None else np.asarray(theta0, float)
     stride = record_stride or max(1, run_length // 2000)
     runs = [(lr, m, derive_seed(seed, m, float_bits(lr))) for _, _, lr, m in configs]
-    results = _run_rows(model, theta_init, runs, run_length, stride, workers, hasattr(model, "accuracy"))
+    results = _run_rows(model, theta_init, runs, run_length, record_stride=stride, workers=workers,
+                        accuracy=hasattr(model, "accuracy"))
 
-    horizon = min(traj.times[-1] for traj, _ in results)
+    horizon = min(traj.times[-1] for traj in results)
     grid = np.linspace(burn_in_fraction * horizon, horizon, CURVE_GRID_POINTS)
     smoothed_on_grid = []
-    for traj, _ in results:
+    for traj in results:
         window = max(1, int(round(0.01 * len(traj.losses))))
         smooth = _trailing_mean(traj.losses, window)
         smoothed_on_grid.append(np.interp(grid, traj.times, smooth))
@@ -372,9 +358,8 @@ def linear_scaling_experiment(
             smoothed=curve,
             divergence_from_base=(float("nan") if cls == "base"
                                   else float(np.mean(np.abs(curve - base_curve)))),
-            accuracy=acc,
         )
-        for (label, cls, lr, m), (traj, acc), curve in zip(configs, results, smoothed_on_grid)
+        for (label, cls, lr, m), traj, curve in zip(configs, results, smoothed_on_grid)
     ]
 
     class_divergence = {}
@@ -389,13 +374,13 @@ def write_curves_csv(path, curves: CurveSet) -> None:
     entries = [curves.base] + curves.entries
     columns = [sum(([getattr(e, key)] * len(e.trajectory.steps) for e in entries), [])
                for key in ("label", "ratio_class")]
-    columns += [np.concatenate([np.asarray(getattr(e.trajectory, key), dtype=dtype) for e in entries])
-                for key, dtype in (("steps", np.int64), ("times", float), ("losses", float))]
     header = "config_label,ratio_class,step,t,loss"
-    if curves.base.accuracy is not None:  # every entry has accuracy, or none has
+    keys = [("steps", np.int64), ("times", float), ("losses", float)]
+    if curves.base.trajectory.accuracies is not None:  # every entry has accuracy, or none has
         header += ",accuracy"
-        columns.append(np.concatenate([np.asarray(e.accuracy[: len(e.trajectory.steps)], dtype=float)
-                                       for e in entries]))
+        keys.append(("accuracies", float))
+    columns += [np.concatenate([np.asarray(getattr(e.trajectory, key), dtype=dtype) for e in entries])
+                for key, dtype in keys]
     _write_csv(path, header, columns)
 
 
@@ -544,15 +529,10 @@ def _saddle_runs(model: QuadraticModel, learning_rate, batch_size, steps, replic
     All replicas start at the origin and advance in lockstep; replica ``r``
     draws from ``derive_seed(seed, r)``.
     """
-    stride = max(1, steps // 5000)
-    if engine._record_count(steps, stride) * replicas * model.param_dim > engine.SNAPSHOT_BUDGET:
-        raise ExperimentError(
-            f"the saddle probe needs snapshots, and {replicas} replicas of {steps} steps "
-            f"in {model.param_dim} dimensions exceed the snapshot budget {engine.SNAPSHOT_BUDGET}"
-        )
     run = _advance_rows(
         model, np.zeros(model.param_dim), [learning_rate] * replicas, [batch_size] * replicas,
-        [derive_seed(seed, r) for r in range(replicas)], steps, record_stride=stride, snapshots=True,
+        [derive_seed(seed, r) for r in range(replicas)], steps, record_stride=max(1, steps // 5000),
+        snapshots=True,
     )
     for r in range(replicas):
         yield run.trajectory(r), r in run.failures
@@ -585,12 +565,15 @@ def saddle_divergence_experiment(
     unstable-direction projection to sit within 30% of
     log(1 + lr * |most negative eigenvalue|), the exact rate of the linear
     recursion.  The report also carries its small-step limit
-    lr * |lambda_neg| as ``expected_slope_small_lr``.  The slopes need every
-    replica's snapshots, so a run whose snapshots would exceed the engine's
-    ``SNAPSHOT_BUDGET`` raises :class:`ExperimentError` before any replica steps.
+    lr * |lambda_neg| as ``expected_slope_small_lr``.  A learning rate,
+    batch size or step count the stepping core refuses raises its
+    ``engine.EngineError`` first.  The slopes need every replica's
+    snapshots, so a run whose snapshots would exceed the engine's
+    ``SNAPSHOT_BUDGET`` raises ``engine.EngineError`` before any replica steps.
     """
     if replicas < 1 or steps < 1:
         raise ExperimentError("replicas and steps must be positive")
+    engine._check_rows(learning_rate, batch_size, steps)
     model = QuadraticModel(
         h_indefinite,
         np.zeros(h_indefinite.dim),

@@ -90,7 +90,7 @@ def scan_csv(rows, columns) -> str:
 
 
 def curves_csv(curves) -> str:
-    with_accuracy = curves.base.accuracy is not None
+    with_accuracy = curves.base.trajectory.accuracies is not None
     header = "config_label,ratio_class,step,t,loss" + (",accuracy" if with_accuracy else "")
     rows = []
     for e in [curves.base] + curves.entries:
@@ -99,6 +99,6 @@ def curves_csv(curves) -> str:
             cells = [e.label, e.ratio_class, str(int(traj.steps[i])),
                      repr(float(traj.times[i])), repr(float(traj.losses[i]))]
             if with_accuracy:
-                cells.append(repr(float(e.accuracy[i])))
+                cells.append(repr(float(traj.accuracies[i])))
             rows.append(",".join(cells))
     return _lines(header, rows)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdscope import cli
+from sgdscope import cli, engine
 from sgdscope.cli import KEY_SPECS, ConfigError, main, parse_config, render_help
 from sgdscope.linalg import SymMatrix, write_matrix_csv
 from sgdscope.experiments import scan_bs_lr
@@ -588,6 +588,18 @@ class TestCommands:
                      "--master_seed", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: flow: divergence at step 11: iterate norm guard tripped\n"
+        assert os.listdir(out) == ["config.resolved"]
+
+    @pytest.mark.parametrize("args", [["flow"], ["ou"], ["simulate", "--snapshots", "true"]])
+    def test_an_over_budget_snapshot_request_is_refused(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(engine, "SNAPSHOT_BUDGET", 10)
+        out = tmp_path / "run"
+        code = main(args + ["--out_dir", str(out), "--master_seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert re.fullmatch(rf"error: {args[0]}: a snapshot request of \d+ entries exceeds the snapshot "
+                            r"budget 10; use a larger record_stride or fewer rows\n", err)
         assert os.listdir(out) == ["config.resolved"]
 
     def test_scaling_refuses_two_configs_with_one_label(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dynamics engines: discrete runs, integrators, and the deviation process."""
 
+import dataclasses
 import os
 import pickle
 import threading
@@ -98,6 +99,15 @@ class TestSgdConfig:
 
 
 class TestTrajectoryValidation:
+    def test_every_record_column_is_a_trajectory_field(self):
+        names = {field.name for field in dataclasses.fields(Trajectory)}
+        assert set(engine._Rows.RECORD_COLUMNS) <= names
+
+    def test_rejects_an_accuracy_column_of_another_length(self):
+        with pytest.raises(EngineError, match="column accuracies has 1 entries for 2 steps"):
+            Trajectory(1, np.array([0, 1]), np.array([0.0, 1.0]), np.array([1.0, 0.5]),
+                       np.array([1.0, 0.5]), accuracies=np.array([0.5]))
+
     def test_rejects_mismatched_columns(self):
         with pytest.raises(EngineError):
             Trajectory(
@@ -442,13 +452,22 @@ class TestReplicaEnsemble:
 
 
 class TestSnapshotPolicy:
-    def test_budget_downgrade_warns(self, monkeypatch):
+    # Each over-budget request, with the step loop it would run patched to
+    # fail: the refusal comes before any row steps.
+    @pytest.mark.parametrize("stepper, start", [
+        ("_lockstep", lambda: sgd_run(quadratic([1.0, 2.0], 0.0), [1.0, 1.0], SgdConfig(0.1, 1, 20, 0),
+                                      snapshots=True)),
+        ("_loop_row", lambda: gradient_flow(quadratic([1.0, 2.0], 0.0), [1.0, 1.0], 2.0, 0.1)),
+        ("_lockstep", lambda: ou_eigenbasis_run([1.0, 2.0], 0.1, 1, 2.0, 0.1, 0)),
+        ("_loop_row", lambda: _advance_rows(small_logistic(), np.zeros(3), [0.1, 0.2], [2, 2], [1, 2], 1,
+                                            snapshots=True, workers=1)),
+    ], ids=["sgd_run", "gradient_flow", "ou_eigenbasis_run", "advance_rows"])
+    def test_over_budget_request_is_refused_before_any_step(self, monkeypatch, stepper, start):
         monkeypatch.setattr(engine, "SNAPSHOT_BUDGET", 10)
-        model = quadratic([1.0, 2.0], 0.0)
-        cfg = SgdConfig(0.1, 1, 20, 0)
-        with pytest.warns(UserWarning, match="budget"):
-            traj = sgd_run(model, [1.0, 1.0], cfg, snapshots=True)
-        assert traj.thetas is None
+        monkeypatch.setattr(engine, stepper, lambda *args, **kwargs: pytest.fail("a row stepped"))
+        with pytest.raises(EngineError, match=r"entries exceeds the snapshot budget 10; use a larger "
+                                              r"record_stride or fewer rows"):
+            start()
 
     def test_within_budget_keeps_snapshots(self):
         model = quadratic([1.0, 2.0], 0.0)

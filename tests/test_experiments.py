@@ -24,6 +24,7 @@ from sgdscope.experiments import (
     ScanRow,
     clt_experiment,
     derive_seed,
+    float_bits,
     linear_scaling_experiment,
     saddle_divergence_experiment,
     scan_bs_lr,
@@ -321,13 +322,29 @@ class TestLinearScaling:
             model, base=(0.1, 10), factors=[1], off_ratio=[(0.1, 30)],
             run_length=300, seed=5, theta0=model.initial_params,
         )
-        assert curves.base.accuracy is not None
-        assert len(curves.base.accuracy) == len(curves.base.trajectory.steps)
+        assert curves.base.trajectory.accuracies is not None
+        assert len(curves.base.trajectory.accuracies) == len(curves.base.trajectory.steps)
         path = tmp_path / "curves.csv"
         write_curves_csv(path, curves)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "config_label,ratio_class,step,t,loss,accuracy"
         assert lines[1].startswith("base,base,0,")
+
+    def test_entry_trajectories_carry_the_core_accuracy_column(self):
+        features, labels = generate_blobs(example_count=60, feature_dim=3, class_count=3, seed=9)
+        model = make_mlp(3, 4, 3, (features, labels), seed=1)
+        curves = linear_scaling_experiment(
+            model, base=(0.1, 10), factors=[2], off_ratio=[(0.1, 30)],
+            run_length=300, seed=5, theta0=model.initial_params, workers=1,
+        )
+        entries = [curves.base, *curves.entries]
+        core = engine._advance_rows(
+            model, model.initial_params, [e.learning_rate for e in entries], [e.batch_size for e in entries],
+            [derive_seed(5, e.batch_size, float_bits(e.learning_rate)) for e in entries], 300,
+            accuracy=True, workers=1,
+        )
+        for r, entry in enumerate(entries):
+            np.testing.assert_array_equal(entry.trajectory.accuracies, core.accuracies[:, r])
 
     def test_classifier_curves_do_not_depend_on_worker_count(self, tmp_path):
         features, labels = generate_blobs(example_count=60, feature_dim=3, class_count=3, seed=9)
@@ -596,8 +613,15 @@ class TestSaddleDivergence:
         saddle_divergence_experiment(*args, 1, 0)
         # The over-budget run is refused before any row steps.
         monkeypatch.setattr(engine, "_lockstep", lambda *args, **kwargs: pytest.fail("a row stepped"))
-        with pytest.raises(ExperimentError, match="snapshot budget 300"):
+        with pytest.raises(EngineError, match="snapshot budget 300"):
             saddle_divergence_experiment(*args, 2, 0)
+
+    @pytest.mark.parametrize("learning_rate", [-2.0, -0.5])
+    def test_a_negative_learning_rate_gets_the_core_message(self, learning_rate):
+        # At -2.0 the exact rate log1p(lr |lambda_neg|) has no value.
+        with pytest.raises(EngineError, match="learning_rate must be positive and finite"):
+            saddle_divergence_experiment(SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.eye(2)),
+                                         learning_rate, 1, 100, 2, 0)
 
     def test_report_dict_is_json_serializable(self):
         report = saddle_divergence_experiment(

@@ -239,11 +239,11 @@ SPECIAL = [-0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf")]
 MANY = linalg._CSV_BLOCK_ROWS * 2 + 5
 
 
-def _traj(steps, times=None, thetas=None):
+def _traj(steps, times=None, thetas=None, accuracies=None):
     steps = np.asarray(steps)
     values = np.resize(np.array(SPECIAL), len(steps))
     return Trajectory(1, steps, steps * 0.5 if times is None else np.asarray(times), values,
-                      values[::-1].copy(), thetas)
+                      values[::-1].copy(), thetas, accuracies)
 
 
 def _scan_row(i, batch_size=4, value=0.1 + 0.2):
@@ -260,7 +260,7 @@ def _curves(lengths, accuracy):
     for i, n in enumerate(lengths):
         acc = None if accuracy[i] is None else np.resize(np.array(SPECIAL + [0.25]), n)
         entries.append(CurveEntry(f"lr{i}_bs{i + 1}", "base" if i == 0 else "same_ratio", 0.1, i + 1,
-                                  _traj(np.arange(n) * 3), np.zeros(0), 0.0, acc))
+                                  _traj(np.arange(n) * 3, accuracies=acc), np.zeros(0), 0.0))
     return CurveSet(entries[0], entries[1:], np.zeros(0))
 
 
